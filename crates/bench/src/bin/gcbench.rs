@@ -22,7 +22,9 @@
 //! the result rows with each mode's full collector metrics snapshot.
 
 use gc_analysis::TextTable;
-use gc_bench::{json_array, json_object, json_str, take_flag, take_mark_threads, JsonOut};
+use gc_bench::{
+    finish_args, json_array, json_object, json_str, take_flag, take_mark_threads, JsonOut,
+};
 use gc_core::{observer, GcEvent, GcObserver};
 use gc_platforms::{BuildOptions, Platform, Profile};
 use gc_workloads::GcBench;
@@ -105,7 +107,11 @@ fn main() {
     let json_out = JsonOut::from_args(&mut args);
     let mark_threads = take_mark_threads(&mut args);
     let lazy_sweep = take_flag(&mut args, "--lazy-sweep");
-    let classic = args.first().map(String::as_str) == Some("classic");
+    let classic = take_flag(&mut args, "classic");
+    finish_args(
+        &args,
+        "Usage: gcbench [--json <path>] [--mark-threads <n>] [--lazy-sweep] [classic]",
+    );
     let shape = if classic {
         GcBench::classic()
     } else {

@@ -9,7 +9,7 @@
 //! increment, or the dirty-rescan finish.
 
 use gc_analysis::TextTable;
-use gc_bench::{json_array, json_object, json_str, JsonOut};
+use gc_bench::{finish_args, json_array, json_object, json_str, JsonOut};
 use gc_core::{CollectReason, Collector, GcConfig};
 use gc_heap::{HeapConfig, ObjectKind};
 use gc_vmspace::{Addr, AddressSpace, Endian, SegmentKind, SegmentSpec};
@@ -56,6 +56,7 @@ fn build_live_chain(gc: &mut Collector, cells: u32) {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
+    finish_args(&args, "Usage: incremental_pauses [--json <path>]");
     let mut runs: Vec<String> = Vec::new();
     let mut table = TextTable::new(vec![
         "Live cells".into(),

@@ -3,13 +3,14 @@
 //! the damage to a single node.
 
 use gc_analysis::TextTable;
-use gc_bench::{json_array, json_object, json_str, JsonOut};
+use gc_bench::{finish_args, json_array, json_object, json_str, JsonOut};
 use gc_platforms::{BuildOptions, Profile};
 use gc_workloads::{QueueRun, StreamRun};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
+    finish_args(&args, "Usage: queue_growth [--json <path>]");
     let mut queue_metrics: Vec<String> = Vec::new();
     let mut table = TextTable::new(vec![
         "Configuration".into(),

@@ -6,18 +6,29 @@
 //! the result rows as a machine-readable report.
 
 use gc_analysis::table1::{self, Table1Config};
-use gc_bench::{json_array, json_object, json_str, take_mark_threads, JsonOut};
+use gc_bench::{finish_args, json_array, json_object, json_str, take_mark_threads, JsonOut};
+use std::num::NonZeroU32;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
     let mark_threads = take_mark_threads(&mut args);
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let seeds: Vec<u64> = if args.len() > 1 {
-        args[1..].iter().filter_map(|s| s.parse().ok()).collect()
-    } else {
-        vec![1, 2, 3]
-    };
+    // Positionals: a nonzero scale divisor, then seeds. Anything that does
+    // not parse is left behind for `finish_args` to reject.
+    let mut scale: Option<NonZeroU32> = None;
+    let mut seeds: Vec<u64> = Vec::new();
+    args.retain(|a| match scale {
+        None => a.parse().map(|s| scale = Some(s)).is_err(),
+        Some(_) => a.parse().map(|seed| seeds.push(seed)).is_err(),
+    });
+    finish_args(
+        &args,
+        "Usage: table1 [--json <path>] [--mark-threads <n>] [scale [seed...]]",
+    );
+    let scale = scale.map_or(1, NonZeroU32::get);
+    if seeds.is_empty() {
+        seeds = vec![1, 2, 3];
+    }
     let config = Table1Config {
         seeds,
         scale,

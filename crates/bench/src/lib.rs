@@ -128,6 +128,22 @@ pub fn take_mark_threads(args: &mut Vec<String>) -> u32 {
     }
 }
 
+/// Ends a binary's argument parsing, before anything runs. `--help` (or
+/// `-h`) anywhere prints `usage` and exits 0; any other argument still in
+/// `args` is one the binary did not consume, so it is reported with the
+/// usage on stderr and the process exits 2. Call it once every `take_*`
+/// helper and positional parse has removed what it understood.
+pub fn finish_args(args: &[String], usage: &str) {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    if !args.is_empty() {
+        eprintln!("unrecognised argument(s): {}\n{usage}", args.join(" "));
+        std::process::exit(2);
+    }
+}
+
 /// Builds a JSON object from `(key, value)` pairs whose values are already
 /// rendered JSON (use [`json_str`] for string values).
 pub fn json_object(fields: &[(&str, String)]) -> String {

@@ -1768,6 +1768,10 @@ mod typed_tests {
     use gc_vmspace::{Endian, SegmentKind, SegmentSpec};
 
     fn collector() -> Collector {
+        collector_with(GcConfig::default().lazy_sweep)
+    }
+
+    fn collector_with(lazy_sweep: bool) -> Collector {
         let mut space = AddressSpace::new(Endian::Big);
         space
             .map(SegmentSpec::new(
@@ -1787,6 +1791,7 @@ mod typed_tests {
                     ..HeapConfig::default()
                 },
                 min_bytes_between_gcs: u64::MAX,
+                lazy_sweep,
                 ..GcConfig::default()
             },
         )
@@ -1831,28 +1836,46 @@ mod typed_tests {
 
     #[test]
     fn descriptor_mapping_dies_with_the_object() {
-        let mut gc = collector();
-        let desc = gc.register_descriptor(Descriptor::with_pointers_at(2, &[1]));
-        let rec = gc.alloc_typed(8, desc).unwrap();
-        assert!(gc.heap().descriptor_of(rec).is_some());
-        gc.collect(); // rec is garbage
-        assert!(!gc.is_live(rec));
-        // Reallocate the same slot as a plain composite: it must be
-        // conservatively scanned again, not filtered by a stale descriptor.
-        let again = gc.alloc(8, ObjectKind::Composite).unwrap();
-        assert_eq!(again, rec, "address-ordered free list reuses the slot");
-        assert!(
-            gc.heap().descriptor_of(again).is_none(),
-            "no stale descriptor"
-        );
-        let victim = gc.alloc(8, ObjectKind::Composite).unwrap();
-        gc.space_mut().write_u32(again, victim.raw()).unwrap();
-        gc.space_mut().write_u32(ROOT, again.raw()).unwrap();
-        gc.collect();
-        assert!(
-            gc.is_live(victim),
-            "composite reuse is scanned conservatively"
-        );
+        for lazy_sweep in [false, true] {
+            let mut gc = collector_with(lazy_sweep);
+            let desc = gc.register_descriptor(Descriptor::with_pointers_at(2, &[1]));
+            // A rooted typed neighbour keeps the block, and its descriptor
+            // table, alive: the slot itself is reused, not a fresh page.
+            let keep = gc.alloc_typed(8, desc).unwrap();
+            let rec = gc.alloc_typed(8, desc).unwrap();
+            gc.space_mut().write_u32(ROOT, keep.raw()).unwrap();
+            assert!(gc.heap().descriptor_of(rec).is_some());
+            gc.collect(); // rec is garbage
+            assert!(!gc.is_live(rec));
+            let block = gc.heap().object_containing(keep).expect("keep lives").block;
+            assert_eq!(
+                gc.heap().block(block).unwrap().is_pending_sweep(),
+                lazy_sweep,
+                "under lazy sweep the condemned object's block is still unswept"
+            );
+            assert!(
+                gc.heap().descriptor_of(rec).is_none(),
+                "a condemned object reports no descriptor (lazy: {lazy_sweep})"
+            );
+            assert!(gc.heap().descriptor_of(keep).is_some());
+            // Reallocate the same slot as a plain composite: it must be
+            // conservatively scanned again, not filtered by a stale
+            // descriptor.
+            let again = gc.alloc(8, ObjectKind::Composite).unwrap();
+            assert_eq!(again, rec, "address-ordered free list reuses the slot");
+            assert!(
+                gc.heap().descriptor_of(again).is_none(),
+                "no stale descriptor (lazy: {lazy_sweep})"
+            );
+            let victim = gc.alloc(8, ObjectKind::Composite).unwrap();
+            gc.space_mut().write_u32(again, victim.raw()).unwrap();
+            gc.space_mut().write_u32(ROOT + 4, again.raw()).unwrap();
+            gc.collect();
+            assert!(
+                gc.is_live(victim),
+                "composite reuse is scanned conservatively (lazy: {lazy_sweep})"
+            );
+        }
     }
 
     #[test]
@@ -2067,6 +2090,10 @@ mod weak_link_tests {
     use gc_vmspace::{Endian, SegmentKind, SegmentSpec};
 
     fn collector() -> Collector {
+        collector_with(GcConfig::default().lazy_sweep)
+    }
+
+    fn collector_with(lazy_sweep: bool) -> Collector {
         let mut space = AddressSpace::new(Endian::Big);
         space
             .map(SegmentSpec::new(
@@ -2086,6 +2113,7 @@ mod weak_link_tests {
                     ..HeapConfig::default()
                 },
                 min_bytes_between_gcs: u64::MAX,
+                lazy_sweep,
                 ..GcConfig::default()
             },
         )

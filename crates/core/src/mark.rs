@@ -101,7 +101,7 @@ pub(crate) fn scan_object_fields(
     if bytes.len() < 4 {
         return 0;
     }
-    if let Some(desc) = heap.descriptor_of(obj.base) {
+    if let Some(desc) = heap.descriptor(obj) {
         let mut words = 0u64;
         for off in desc.pointer_offsets() {
             let byte_off = (off as usize) * 4;

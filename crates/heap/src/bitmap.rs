@@ -89,12 +89,29 @@ impl Bitmap {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| self.get(i))
+        word_ones(self.words.iter().copied())
     }
 
     /// Iterates over the indices of clear bits in increasing order.
     pub fn iter_zeros(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| !self.get(i))
+        word_zeros(self.words.iter().copied(), self.nbits)
+    }
+
+    /// The lowest clear bit in `[from, end)`, if any (`end` is clamped to
+    /// [`len`](Self::len)). Scans a word at a time.
+    pub(crate) fn next_zero(&self, from: u32, end: u32) -> Option<u32> {
+        let end = end.min(self.nbits);
+        let mut i = from;
+        while i < end {
+            let w = i / 64;
+            let free = !self.words[w as usize] >> (i % 64);
+            if free != 0 {
+                let hit = i + free.trailing_zeros();
+                return (hit < end).then_some(hit);
+            }
+            i = (w + 1) * 64;
+        }
+        None
     }
 
     /// The backing words, 64 bits each, bit `i` at `words()[i / 64]` bit
@@ -105,6 +122,45 @@ impl Bitmap {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// Mutable backing words, for word-at-a-time updates. Callers must keep
+    /// bits at or beyond [`len`](Self::len) zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+}
+
+/// The bits of word `i` that lie below `nbits`.
+#[inline]
+fn valid_bits(nbits: u32, i: usize) -> u64 {
+    match nbits.saturating_sub(i as u32 * 64) {
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
+    }
+}
+
+/// Indices of the set bits of a word sequence, in increasing order.
+fn word_ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u32> {
+    words.enumerate().flat_map(|(i, mut w)| {
+        let base = i as u32 * 64;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                base + bit
+            })
+        })
+    })
+}
+
+/// Indices of the clear bits below `nbits` of a word sequence, in
+/// increasing order.
+fn word_zeros(words: impl Iterator<Item = u64>, nbits: u32) -> impl Iterator<Item = u32> {
+    word_ones(
+        words
+            .enumerate()
+            .map(move |(i, w)| !w & valid_bits(nbits, i)),
+    )
 }
 
 impl fmt::Debug for Bitmap {
@@ -253,12 +309,15 @@ impl AtomicBitmap {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| self.get(i))
+        word_ones(self.words.iter().map(|w| w.load(Ordering::Relaxed)))
     }
 
     /// Iterates over the indices of clear bits in increasing order.
     pub fn iter_zeros(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| !self.get(i))
+        word_zeros(
+            self.words.iter().map(|w| w.load(Ordering::Relaxed)),
+            self.nbits,
+        )
     }
 
     /// Reads backing word `i` (bits `64 * i ..`), or 0 past the end.
@@ -325,6 +384,36 @@ mod tests {
         b.set(7);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![1, 7]);
         assert_eq!(b.iter_zeros().count(), 8);
+    }
+
+    /// The word-at-a-time iterators agree with the per-bit definition,
+    /// including partial and empty tail words.
+    #[test]
+    fn word_iteration_matches_per_bit_definition() {
+        for nbits in [0u32, 1, 63, 64, 65, 512] {
+            for pattern in [0u64, u64::MAX, 0x9e37_79b9_7f4a_7c15, 1 << 63, 1] {
+                let mut b = Bitmap::new(nbits);
+                let a = AtomicBitmap::new(nbits);
+                for i in 0..nbits {
+                    if pattern.rotate_left(i / 64 * 7) >> (i % 64) & 1 == 1 {
+                        b.set(i);
+                        a.set_atomic(i);
+                    }
+                }
+                let ones: Vec<u32> = (0..nbits).filter(|&i| b.get(i)).collect();
+                let zeros: Vec<u32> = (0..nbits).filter(|&i| !b.get(i)).collect();
+                assert_eq!(b.iter_ones().collect::<Vec<_>>(), ones, "{nbits} bits");
+                assert_eq!(b.iter_zeros().collect::<Vec<_>>(), zeros, "{nbits} bits");
+                assert_eq!(a.iter_ones().collect::<Vec<_>>(), ones, "{nbits} bits");
+                assert_eq!(a.iter_zeros().collect::<Vec<_>>(), zeros, "{nbits} bits");
+                for from in [0, 1, 63, 64, 65, 200, 511] {
+                    for end in [0, 1, 64, 65, 300, 512, 600] {
+                        let want = zeros.iter().copied().find(|&z| z >= from && z < end);
+                        assert_eq!(b.next_zero(from, end), want, "{nbits} bits [{from}, {end})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! the analogue of bdwgc's separate header map — so the simulated heap bytes
 //! are exactly what the mutator wrote.
 
+use crate::sweep::{sweep_block, BlockSweep};
 use crate::{AtomicBitmap, Bitmap, SizeClass, GRANULE_BYTES};
 use gc_vmspace::{Addr, PAGE_BYTES};
 use std::fmt;
@@ -68,11 +69,16 @@ pub enum BlockShape {
 }
 
 /// A live heap block.
+///
+/// Cache-line aligned and kept within 128 bytes, so each block occupies
+/// exactly two cache lines: the mark phase looks a block up for every
+/// candidate pointer, and a block straddling a third line measurably
+/// slows it.
 #[derive(Clone, Debug)]
+#[repr(align(64))]
 pub struct Block {
     pub(crate) id: BlockId,
     pub(crate) base: Addr,
-    pub(crate) npages: u32,
     pub(crate) shape: BlockShape,
     pub(crate) kind: ObjectKind,
     pub(crate) allocated: Bitmap,
@@ -99,6 +105,21 @@ pub struct Block {
     /// space mapped (and zeroed) them, so never-used slots are still
     /// all-zero and allocation may skip the explicit fill.
     pub(crate) zeroed: bool,
+    /// The descriptors of the block's typed objects. `None` until the
+    /// block's first typed allocation, so untyped blocks carry no table
+    /// and their sweeps do no descriptor work. Boxed, so untyped blocks
+    /// pay one word for it.
+    pub(crate) typed: Option<Box<DescriptorTable>>,
+}
+
+/// A block's per-slot descriptor table: one bit per slot says whether the
+/// slot holds a typed object, and `ids` holds its descriptor id (stale
+/// where the bit is clear). A sweep drops entries a word at a time by
+/// clearing bits with its freed mask.
+#[derive(Clone, Debug)]
+pub(crate) struct DescriptorTable {
+    typed: Bitmap,
+    ids: Box<[u32]>,
 }
 
 impl Block {
@@ -107,7 +128,6 @@ impl Block {
         Block {
             id,
             base,
-            npages: 1,
             shape: BlockShape::Small { class },
             kind,
             allocated: Bitmap::new(n),
@@ -116,6 +136,7 @@ impl Block {
             pending: false,
             bump: 0,
             zeroed: false,
+            typed: None,
         }
     }
 
@@ -124,7 +145,6 @@ impl Block {
         Block {
             id,
             base,
-            npages: obj_bytes.div_ceil(PAGE_BYTES),
             shape: BlockShape::Large { obj_bytes },
             kind,
             allocated: Bitmap::new(1),
@@ -133,6 +153,7 @@ impl Block {
             pending: false,
             bump: 0,
             zeroed: false,
+            typed: None,
         }
     }
 
@@ -148,7 +169,10 @@ impl Block {
 
     /// Number of pages the block spans.
     pub fn npages(&self) -> u32 {
-        self.npages
+        match self.shape {
+            BlockShape::Small { .. } => 1,
+            BlockShape::Large { obj_bytes } => obj_bytes.div_ceil(PAGE_BYTES),
+        }
     }
 
     /// Whether the block's objects may contain pointers.
@@ -209,6 +233,51 @@ impl Block {
             }
             BlockShape::Large { obj_bytes } => (off < obj_bytes).then_some(0),
         }
+    }
+
+    /// Sweeps the block in place with [`sweep_block`], dropping the freed
+    /// slots' descriptor entries.
+    pub(crate) fn sweep(&mut self, minor: bool) -> BlockSweep {
+        let Block {
+            allocated,
+            marked,
+            old,
+            typed,
+            ..
+        } = self;
+        sweep_block(allocated, marked, old, minor, |word, freed| {
+            if let Some(table) = typed {
+                table.typed.words_mut()[word] &= !freed;
+            }
+        })
+    }
+
+    /// Records slot `index`'s descriptor id, creating the block's table
+    /// on its first typed allocation.
+    pub(crate) fn set_descriptor(&mut self, index: u32, id: u32) {
+        let slots = self.slots();
+        let table = self.typed.get_or_insert_with(|| {
+            Box::new(DescriptorTable {
+                typed: Bitmap::new(slots),
+                ids: vec![0; slots as usize].into_boxed_slice(),
+            })
+        });
+        table.typed.set(index);
+        table.ids[index as usize] = id;
+    }
+
+    /// Drops slot `index`'s descriptor entry, if the block has a table.
+    pub(crate) fn clear_descriptor(&mut self, index: u32) {
+        if let Some(table) = &mut self.typed {
+            table.typed.clear(index);
+        }
+    }
+
+    /// Slot `index`'s descriptor id, if it holds a typed object.
+    #[inline]
+    pub(crate) fn descriptor(&self, index: u32) -> Option<u32> {
+        let table = self.typed.as_ref()?;
+        table.typed.get(index).then(|| table.ids[index as usize])
     }
 
     /// Is slot `index` currently allocated?
@@ -309,6 +378,11 @@ mod tests {
         let b = Block::new_large(BlockId(2), Addr::new(0x30000), 10, ObjectKind::Composite);
         assert_eq!(b.obj_bytes(), 12);
         assert_eq!(b.npages(), 1);
+    }
+
+    #[test]
+    fn block_fits_two_cache_lines() {
+        assert_eq!(std::mem::size_of::<Option<Block>>(), 128);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The page-level heap: block acquisition, object allocation, sweeping.
 
+use crate::freelist::FreeList;
+use crate::sweep::{survivor_census, BlockSweep};
 use crate::{
-    Block, BlockId, BlockShape, FreeList, FreeListPolicy, HeapError, ObjRef, ObjectKind, SizeClass,
+    Block, BlockId, BlockShape, FreeListPolicy, HeapError, ObjRef, ObjectKind, SizeClass,
     GRANULE_BYTES,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, SegmentKind, SegmentSpec, PAGE_BYTES};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Flat page-index → block-id map covering the whole 2^20-page space.
@@ -216,6 +218,23 @@ pub struct SweepStats {
     pub blocks_deferred: u32,
 }
 
+impl SweepStats {
+    /// Adds one block's sweep counts, for objects of `obj_bytes` bytes.
+    fn add(&mut self, counts: BlockSweep, obj_bytes: u64) {
+        let (live, freed, promoted) = (
+            u64::from(counts.live),
+            u64::from(counts.freed),
+            u64::from(counts.promoted),
+        );
+        self.objects_live += live;
+        self.bytes_live += live * obj_bytes;
+        self.objects_freed += freed;
+        self.bytes_freed += freed * obj_bytes;
+        self.objects_promoted += promoted;
+        self.bytes_promoted += promoted * obj_bytes;
+    }
+}
+
 /// Cumulative accounting of *realized* deferred sweep work: everything the
 /// allocation slow path, [`Heap::finish_sweep`], and the explicit-free path
 /// have swept since the heap was created.
@@ -385,8 +404,6 @@ pub struct Heap {
     bytes_since_collect: u64,
     objects_allocated_total: u64,
     descriptors: Vec<Descriptor>,
-    /// Object base address → descriptor, for typed objects only.
-    typed: HashMap<u32, DescriptorId>,
     /// Deferred-sweep queues for small blocks, indexed like `free_lists`:
     /// blocks whose free-list reconstruction the last lazy snapshot left to
     /// the allocator. Entries may be stale (block already swept via
@@ -412,26 +429,6 @@ fn fl_index(class: SizeClass, kind: ObjectKind) -> usize {
             ObjectKind::Composite => 0,
             ObjectKind::Atomic => 1,
         }
-}
-
-/// Word-at-a-time survivor census of one block against the current mark
-/// bits: `(survivors, to-be-promoted)`. A slot survives if it is allocated
-/// and marked — or allocated and old during a minor sweep — and every
-/// survivor ends up old (tenured). This is the cheap half of a sweep; the
-/// lazy snapshot runs it so every census stays exact while the per-slot
-/// mutation work is deferred to the allocator.
-fn survivor_census(block: &Block, minor: bool) -> (u32, u32) {
-    let mut live = 0;
-    let mut promoted = 0;
-    let alloc_words = block.allocated.words();
-    let old_words = block.old.words();
-    for (i, (&alloc, &old)) in alloc_words.iter().zip(old_words).enumerate() {
-        let marked = block.marked.word(i);
-        let keep = alloc & (marked | if minor { old } else { 0 });
-        live += keep.count_ones();
-        promoted += (keep & !old).count_ones();
-    }
-    (live, promoted)
 }
 
 impl Heap {
@@ -465,7 +462,6 @@ impl Heap {
             bytes_since_collect: 0,
             objects_allocated_total: 0,
             descriptors: Vec::new(),
-            typed: HashMap::new(),
             pending_small,
             pending_large: VecDeque::new(),
             pending_blocks: 0,
@@ -496,15 +492,24 @@ impl Heap {
         desc: DescriptorId,
         pred: PagePredicate<'_>,
     ) -> Result<Addr, HeapError> {
-        let addr = self.alloc(space, bytes, ObjectKind::Composite, pred)?;
-        self.typed.insert(addr.raw(), desc);
+        let (addr, id, slot) = self.alloc_slot(space, bytes, ObjectKind::Composite, pred)?;
+        self.block_mut(id).set_descriptor(slot, desc.0);
         Ok(addr)
     }
 
-    /// The descriptor of a typed object, if `base` was allocated typed.
+    /// The descriptor of the live typed object based at `base`, if any.
     pub fn descriptor_of(&self, base: Addr) -> Option<&Descriptor> {
-        let id = self.typed.get(&base.raw())?;
-        Some(&self.descriptors[id.0 as usize])
+        let obj = self.object_containing(base).filter(|o| o.base == base)?;
+        self.descriptor(obj)
+    }
+
+    /// The descriptor of a live object, if it was allocated typed — the
+    /// mark phase's lookup: a block index and a table read, and no table
+    /// at all for blocks that never held a typed object.
+    #[inline]
+    pub fn descriptor(&self, obj: ObjRef) -> Option<&Descriptor> {
+        let id = self.block(obj.block)?.descriptor(obj.index)?;
+        Some(&self.descriptors[id as usize])
     }
 
     /// The heap configuration.
@@ -560,6 +565,18 @@ impl Heap {
         kind: ObjectKind,
         pred: PagePredicate<'_>,
     ) -> Result<Addr, HeapError> {
+        self.alloc_slot(space, bytes, kind, pred)
+            .map(|(addr, _, _)| addr)
+    }
+
+    /// [`alloc`](Heap::alloc), also returning the object's block and slot.
+    fn alloc_slot(
+        &mut self,
+        space: &mut AddressSpace,
+        bytes: u32,
+        kind: ObjectKind,
+        pred: PagePredicate<'_>,
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         if bytes == 0 {
             return Err(HeapError::ZeroSized);
         }
@@ -581,7 +598,7 @@ impl Heap {
         bytes: u32,
         kind: ObjectKind,
         pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         match SizeClass::for_bytes(bytes) {
             Some(class) => self.alloc_small(space, class, kind, pred),
             None => self.alloc_large(space, bytes, kind, pred),
@@ -608,16 +625,20 @@ impl Heap {
             debug_assert!(b.bump < b.slots(), "cursor block has a never-used tail");
             (b.slot_base(b.bump), id, b.bump)
         });
-        let take_list = match (self.free_lists[fli].peek(), tail) {
-            (Some(l), Some((t, _, _))) => l < t,
+        let recycled = self.free_lists[fli].peek(&self.blocks);
+        let take_list = match (recycled, tail) {
+            (Some((l, _, _)), Some((t, _, _))) => l < t,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
         };
         if take_list {
-            let addr = self.free_lists[fli].pop().expect("peeked slot pops");
-            let (block, slot) = self.slot_of(addr).expect("free-list slot resolves");
-            Some((addr, block.id(), slot, false))
+            let (addr, id, slot) = recycled.expect("recycled slot selected");
+            let b = self.blocks[id.0 as usize]
+                .as_ref()
+                .expect("listed block is live");
+            self.free_lists[fli].take(b, slot);
+            Some((addr, id, slot, false))
         } else {
             let (addr, id, slot) = tail.expect("cursor tail selected");
             let b = self.block_mut(id);
@@ -641,7 +662,7 @@ impl Heap {
         class: SizeClass,
         kind: ObjectKind,
         pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         let fli = fl_index(class, kind);
         if let Some((addr, id, slot, fresh)) = self.pop_small_slot(fli) {
             return self.finish_alloc(space, addr, id, slot, class.bytes(), fresh);
@@ -694,20 +715,26 @@ impl Heap {
         self.clear_pages_clean(page, 1);
         let addr = block.slot_base(0);
         let fresh = block.zeroed;
-        if self.bump_enabled() {
+        let prepopulate = !self.bump_enabled();
+        if prepopulate {
+            block.bump = block.slots();
+        } else {
             block.bump = 1;
             if block.bump < block.slots() {
                 self.cursors[fli] = Some(id);
             }
-        } else {
-            block.bump = block.slots();
-            for slot in 1..block.slots() {
-                self.free_lists[fli].push(block.slot_base(slot));
-            }
         }
         self.blocks.push(Some(block));
         self.block_count += 1;
-        self.finish_alloc(space, addr, id, 0, class.bytes(), fresh)
+        let result = self.finish_alloc(space, addr, id, 0, class.bytes(), fresh);
+        if prepopulate {
+            // Every slot but the one just taken is recycled from the start.
+            let block = self.blocks[id.0 as usize]
+                .as_ref()
+                .expect("fresh block is live");
+            self.free_lists[fli].add_block(block);
+        }
+        result
     }
 
     fn alloc_large(
@@ -716,7 +743,7 @@ impl Heap {
         bytes: u32,
         kind: ObjectKind,
         pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         let obj_bytes = bytes.div_ceil(GRANULE_BYTES) * GRANULE_BYTES;
         let npages = obj_bytes.div_ceil(PAGE_BYTES);
         // Lazy-sweep slow path: sweeping pending large blocks releases the
@@ -766,7 +793,7 @@ impl Heap {
         slot: u32,
         obj_bytes: u32,
         fresh: bool,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         let b = self.block_mut(id);
         b.allocated.set(slot);
         // Fresh objects are born young, whatever the slot's previous
@@ -779,7 +806,7 @@ impl Heap {
         self.bytes_allocated_total += u64::from(obj_bytes);
         self.bytes_since_collect += u64::from(obj_bytes);
         self.objects_allocated_total += 1;
-        Ok(addr)
+        Ok((addr, id, slot))
     }
 
     /// Is every page of `[first, first+n)` still in its never-written,
@@ -1168,78 +1195,69 @@ impl Heap {
     }
 
     fn sweep_impl(&mut self, minor: bool) -> SweepStats {
+        // An eager sweep supersedes any outstanding lazy snapshot: it
+        // visits every block with the same (fresh) mark bits the deferred
+        // sweeps would have used.
+        self.reset_sweep_queues();
         let mut stats = SweepStats::default();
+        for idx in 0..self.blocks.len() {
+            let Some(block) = self.blocks[idx].as_mut() else {
+                continue;
+            };
+            block.pending = false;
+            let id = block.id;
+            let (counts, ob) = self.sweep_block_now(id, minor);
+            stats.add(counts, ob);
+            if counts.live == 0 {
+                stats.blocks_released += 1;
+            }
+        }
+        self.bytes_live = stats.bytes_live;
+        stats
+    }
+
+    /// Empties every free list, bump cursor and deferred-sweep queue: the
+    /// start of a sweep, eager or lazy, which rebuilds them block by block.
+    fn reset_sweep_queues(&mut self) {
         for fl in &mut self.free_lists {
             fl.clear();
         }
         self.cursors.fill(None);
-        // An eager sweep supersedes any outstanding lazy snapshot: it
-        // visits every block with the same (fresh) mark bits the deferred
-        // sweeps would have used.
         for q in &mut self.pending_small {
             q.clear();
         }
         self.pending_large.clear();
         self.pending_blocks = 0;
-        let mut released: Vec<BlockId> = Vec::new();
-        for block in self.blocks.iter_mut().flatten() {
-            block.pending = false;
-            let mut live_here = 0u32;
-            for slot in 0..block.slots() {
-                if !block.allocated.get(slot) {
-                    continue;
-                }
-                let old = block.old.get(slot);
-                let marked = block.marked.get(slot);
-                if (minor && old) || marked {
-                    // Survivor. Marked survivors are tenured (sticky mark
-                    // bit): they have now survived a collection.
-                    live_here += 1;
-                    stats.objects_live += 1;
-                    stats.bytes_live += u64::from(block.obj_bytes());
-                    if marked && !old {
-                        block.old.set(slot);
-                        stats.objects_promoted += 1;
-                        stats.bytes_promoted += u64::from(block.obj_bytes());
-                    }
-                } else {
-                    block.allocated.clear(slot);
-                    block.old.clear(slot);
-                    self.typed.remove(&block.slot_base(slot).raw());
-                    stats.objects_freed += 1;
-                    stats.bytes_freed += u64::from(block.obj_bytes());
-                }
-            }
-            if live_here == 0 {
-                released.push(block.id);
-            } else if let BlockShape::Small { class } = block.shape {
-                let fli = fl_index(class, block.kind);
-                if block.bump < block.slots() && self.cursors[fli].is_some() {
-                    // Another block already owns this list's cursor (only
-                    // possible after a budget-exhausted partial sweep
-                    // forced a fresh block while a tail was still
-                    // pending); retire this tail into the free list.
-                    block.bump = block.slots();
-                }
-                // Recycled slots go to the free list; the never-used tail
-                // (>= bump) stays behind the cursor.
-                for slot in block.allocated.iter_zeros() {
-                    if slot >= block.bump {
-                        break;
-                    }
-                    self.free_lists[fli].push(block.slot_base(slot));
-                }
-                if block.bump < block.slots() {
-                    self.cursors[fli] = Some(block.id);
-                }
-            }
-        }
-        for id in released {
+    }
+
+    /// Sweeps live block `id` now with the word kernel, then rebuilds its
+    /// share of the free list and bump cursor, or releases it if nothing
+    /// survived. Returns the kernel's counts and the block's object size.
+    fn sweep_block_now(&mut self, id: BlockId, minor: bool) -> (BlockSweep, u64) {
+        let block = self.blocks[id.0 as usize]
+            .as_mut()
+            .expect("swept block is live");
+        let counts = block.sweep(minor);
+        let ob = u64::from(block.obj_bytes());
+        if counts.live == 0 {
             self.release_block(id);
-            stats.blocks_released += 1;
+        } else if let BlockShape::Small { class } = block.shape {
+            let fli = fl_index(class, block.kind);
+            if block.bump < block.slots() && self.cursors[fli].is_some() {
+                // Another block already owns this list's cursor (only
+                // possible after a budget-exhausted partial lazy sweep
+                // forced a fresh block while a tail was still pending);
+                // retire this tail into the free list.
+                block.bump = block.slots();
+            }
+            // Recycled slots go to the free list; the never-used tail
+            // (>= bump) stays behind the cursor.
+            self.free_lists[fli].add_block(block);
+            if block.bump < block.slots() {
+                self.cursors[fli] = Some(id);
+            }
         }
-        self.bytes_live = stats.bytes_live;
-        stats
+        (counts, ob)
     }
 
     /// Lazy counterpart of [`Heap::sweep`]: decides every slot's fate
@@ -1264,33 +1282,17 @@ impl Heap {
     }
 
     fn sweep_lazy_impl(&mut self, minor: bool) -> SweepStats {
-        let mut stats = SweepStats::default();
-        for fl in &mut self.free_lists {
-            fl.clear();
-        }
         // Cursors park too: a pending block's never-used tail must not
         // serve allocations before the block's deferred sweep realizes the
         // snapshot (a tail allocation would set an `allocated` bit the
         // sweep would then condemn). The deferred sweep re-establishes the
         // cursor.
-        self.cursors.fill(None);
-        for q in &mut self.pending_small {
-            q.clear();
-        }
-        self.pending_large.clear();
-        self.pending_blocks = 0;
+        self.reset_sweep_queues();
         self.pending_minor = minor;
         self.sweep_epoch += 1;
+        let mut stats = SweepStats::default();
         for block in self.blocks.iter_mut().flatten() {
-            let (live, promoted) = survivor_census(block, minor);
-            let freed = block.allocated.count_ones() - live;
-            let ob = u64::from(block.obj_bytes());
-            stats.objects_live += u64::from(live);
-            stats.bytes_live += u64::from(live) * ob;
-            stats.objects_freed += u64::from(freed);
-            stats.bytes_freed += u64::from(freed) * ob;
-            stats.objects_promoted += u64::from(promoted);
-            stats.bytes_promoted += u64::from(promoted) * ob;
+            stats.add(survivor_census(block, minor), u64::from(block.obj_bytes()));
             block.pending = true;
             match block.shape {
                 BlockShape::Small { class } => {
@@ -1310,74 +1312,21 @@ impl Heap {
     /// releases it entirely if nothing survived. Returns `false` for stale
     /// queue entries (block already swept or released).
     fn sweep_pending_block(&mut self, id: BlockId) -> bool {
-        let idx = id.0 as usize;
-        let minor = self.pending_minor;
-        let mut freed = 0u32;
-        let mut promoted = 0u32;
-        let mut live_here = 0u32;
-        let (ob, small) = {
-            let Some(block) = self.blocks.get_mut(idx).and_then(Option::as_mut) else {
-                return false;
-            };
-            if !block.pending {
-                return false;
-            }
-            block.pending = false;
-            for slot in 0..block.slots() {
-                if !block.allocated.get(slot) {
-                    continue;
-                }
-                let old = block.old.get(slot);
-                let marked = block.marked.get(slot);
-                if (minor && old) || marked {
-                    live_here += 1;
-                    if marked && !old {
-                        block.old.set(slot);
-                        promoted += 1;
-                    }
-                } else {
-                    block.allocated.clear(slot);
-                    block.old.clear(slot);
-                    self.typed.remove(&block.slot_base(slot).raw());
-                    freed += 1;
-                }
-            }
-            let small = match block.shape {
-                BlockShape::Small { class } => Some((class, block.kind)),
-                BlockShape::Large { .. } => None,
-            };
-            (u64::from(block.obj_bytes()), small)
-        };
+        match self.blocks.get_mut(id.0 as usize).and_then(Option::as_mut) {
+            Some(block) if block.pending => block.pending = false,
+            _ => return false,
+        }
+        let (counts, ob) = self.sweep_block_now(id, self.pending_minor);
         // `bytes_live` was already re-based by the snapshot; only the
         // realized-work totals move here.
         self.pending_blocks -= 1;
-        self.lazy_totals.blocks_swept += 1;
-        self.lazy_totals.objects_freed += u64::from(freed);
-        self.lazy_totals.bytes_freed += u64::from(freed) * ob;
-        self.lazy_totals.objects_promoted += u64::from(promoted);
-        self.lazy_totals.bytes_promoted += u64::from(promoted) * ob;
-        if live_here == 0 {
-            self.release_block(id);
-            self.lazy_totals.blocks_released += 1;
-        } else if let Some((class, kind)) = small {
-            let fli = fl_index(class, kind);
-            let block = self.blocks[idx].as_mut().expect("survivors keep the block");
-            if block.bump < block.slots() && self.cursors[fli].is_some() {
-                // A block created since the snapshot owns the cursor;
-                // retire this tail into the free list instead.
-                block.bump = block.slots();
-            }
-            let bump = block.bump;
-            for slot in block.allocated.iter_zeros() {
-                if slot >= bump {
-                    break;
-                }
-                self.free_lists[fli].push(block.slot_base(slot));
-            }
-            if bump < block.slots() {
-                self.cursors[fli] = Some(id);
-            }
-        }
+        let t = &mut self.lazy_totals;
+        t.blocks_swept += 1;
+        t.blocks_released += u64::from(counts.live == 0);
+        t.objects_freed += u64::from(counts.freed);
+        t.bytes_freed += u64::from(counts.freed) * ob;
+        t.objects_promoted += u64::from(counts.promoted);
+        t.bytes_promoted += u64::from(counts.promoted) * ob;
         true
     }
 
@@ -1539,13 +1488,11 @@ impl Heap {
             self.page_map
                 .clear(PageIdx::new(block.base().page().raw() + i));
         }
-        // Purge any free-list entries pointing into the released range
-        // (explicit-free path; the sweep path rebuilt lists already).
-        let lo = block.base();
-        let hi = lo + block.npages() * PAGE_BYTES;
+        // Drop the block from its free list (explicit-free path; a sweep
+        // never lists a block it releases).
         if let BlockShape::Small { class } = block.shape {
             let fli = fl_index(class, block.kind);
-            self.free_lists[fli].retain_outside(lo, hi);
+            self.free_lists[fli].remove_block(&block);
             if self.cursors[fli] == Some(id) {
                 self.cursors[fli] = None;
             }
@@ -1585,6 +1532,7 @@ impl Heap {
             }
             b.allocated.clear(slot);
             b.marked.clear(slot);
+            b.clear_descriptor(slot);
             let small = match b.shape {
                 BlockShape::Small { class } => Some((class, b.kind)),
                 BlockShape::Large { .. } => None,
@@ -1592,11 +1540,13 @@ impl Heap {
             (b.obj_bytes(), b.is_unused(), small)
         };
         self.bytes_live -= u64::from(obj_bytes);
-        self.typed.remove(&addr.raw());
         if unused {
             self.release_block(block);
         } else if let Some((class, kind)) = small {
-            self.free_lists[fl_index(class, kind)].push(addr);
+            let b = self.blocks[block.0 as usize]
+                .as_ref()
+                .expect("block is live");
+            self.free_lists[fl_index(class, kind)].add_slot(b, slot);
         }
         Ok(())
     }
@@ -1629,8 +1579,7 @@ impl Heap {
         if !block.pending {
             return block.live_objects();
         }
-        let (live, _) = survivor_census(block, self.pending_minor);
-        live
+        survivor_census(block, self.pending_minor).live
     }
 
     /// Marks the start of a collection cycle for allocation-rate

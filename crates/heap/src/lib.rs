@@ -13,8 +13,12 @@
 //!   fresh page asks the caller whether the page is usable; the collector
 //!   plugs its blacklist in here, so *allocation around blacklisted pages*
 //!   (the paper's key technique) is a first-class operation.
-//! * **Free lists** ([`FreeList`]) with address-ordered and LIFO policies,
-//!   for the paper's fragmentation claim.
+//! * **Free lists** ([`FreeListPolicy`]) with address-ordered and LIFO
+//!   policies, for the paper's fragmentation claim. The address-ordered
+//!   list is block-granular: a set of blocks, each popping its lowest
+//!   clear allocation bit.
+//! * **Sweeping** ([`sweep_block`]): one kernel over 64-bit bitmap words,
+//!   shared by the eager sweep, the lazy sweep and the lazy snapshot.
 //! * **An explicit `malloc`/`free` baseline** ([`ExplicitHeap`]) sharing the
 //!   same machinery, for the Zorn-style comparisons.
 //!
@@ -43,14 +47,16 @@ mod explicit;
 mod freelist;
 mod heap;
 mod sizeclass;
+mod sweep;
 
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use block::{Block, BlockId, BlockShape, ObjRef, ObjectKind};
 pub use error::HeapError;
 pub use explicit::ExplicitHeap;
-pub use freelist::{FreeList, FreeListPolicy};
+pub use freelist::FreeListPolicy;
 pub use heap::{
     accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats,
     PagePredicate, PageResolveCache, PageUse, SizeClassCensus, SweepStats,
 };
 pub use sizeclass::{SizeClass, GRANULE_BYTES, MAX_SMALL_BYTES};
+pub use sweep::{sweep_block, BlockSweep};

@@ -1,9 +1,12 @@
 //! Property-based tests for the heap substrate's structural invariants.
 
-use gc_heap::{accept_all, BlockShape, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, ObjectKind};
+use gc_heap::{
+    accept_all, sweep_block, AtomicBitmap, Bitmap, BlockShape, BlockSweep, ExplicitHeap,
+    FreeListPolicy, Heap, HeapConfig, ObjectKind, SizeClass,
+};
 use gc_vmspace::{Addr, AddressSpace, Endian, PAGE_BYTES};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 fn heap(policy: FreeListPolicy) -> (AddressSpace, Heap) {
     let space = AddressSpace::new(Endian::Big);
@@ -72,6 +75,160 @@ fn check_lazy_census_consistency(heap: &Heap) {
         .map(|row| u64::from(row.live_objects))
         .sum();
     assert_eq!(census_count, walk_count);
+}
+
+/// The per-slot sweep the word kernel replaced, kept as its oracle: frees
+/// every allocated slot that is neither marked nor (in a minor sweep) old,
+/// and tenures every marked young survivor. Returns the counts and the
+/// freed slots.
+fn reference_sweep(
+    allocated: &mut [bool],
+    marked: &[bool],
+    old: &mut [bool],
+    minor: bool,
+) -> (BlockSweep, Vec<u32>) {
+    let mut out = BlockSweep::default();
+    let mut freed = Vec::new();
+    for slot in 0..allocated.len() {
+        if !allocated[slot] {
+            continue;
+        }
+        let (was_old, was_marked) = (old[slot], marked[slot]);
+        if (minor && was_old) || was_marked {
+            out.live += 1;
+            if was_marked && !was_old {
+                old[slot] = true;
+                out.promoted += 1;
+            }
+        } else {
+            allocated[slot] = false;
+            old[slot] = false;
+            out.freed += 1;
+            freed.push(slot as u32);
+        }
+    }
+    (out, freed)
+}
+
+fn bits_of(words: &[u64], nbits: u32) -> Vec<bool> {
+    (0..nbits)
+        .map(|i| words[(i / 64) as usize] >> (i % 64) & 1 == 1)
+        .collect()
+}
+
+fn bitmap_of(bits: &[bool]) -> Bitmap {
+    let mut b = Bitmap::new(bits.len() as u32);
+    for (i, _) in bits.iter().enumerate().filter(|(_, &on)| on) {
+        b.set(i as u32);
+    }
+    b
+}
+
+/// A reference model of the address-ordered small-object allocator: one
+/// `BTreeSet<Addr>` of available slots per (size, kind), popped lowest
+/// first — the per-slot free list the block-granular list replaced. It
+/// follows the heap from what the test itself decides (which objects live
+/// and die); the only thing it reads back is which pending blocks the heap
+/// chose to sweep, since that is the sweep budget's business.
+#[derive(Default)]
+struct FreeListModel {
+    /// Available slots per (object size, atomic).
+    free: BTreeMap<(u32, bool), BTreeSet<u32>>,
+    /// Live objects: base → (object size, atomic).
+    live: BTreeMap<u32, (u32, bool)>,
+    /// Small blocks: base → (object size, atomic, sweep pending).
+    blocks: BTreeMap<u32, (u32, bool, bool)>,
+    bytes_allocated_total: u64,
+}
+
+impl FreeListModel {
+    fn slots(base: u32, size: u32) -> impl Iterator<Item = u32> {
+        (0..PAGE_BYTES / size).map(move |k| base + k * size)
+    }
+
+    fn live_in(&self, base: u32) -> usize {
+        self.live.range(base..base + PAGE_BYTES).count()
+    }
+
+    /// Block `base`'s sweep is realized: it is released if nothing in it
+    /// lives, and otherwise every slot not live becomes available.
+    fn realize(&mut self, base: u32) {
+        let (size, atomic, _) = self.blocks[&base];
+        if self.live_in(base) == 0 {
+            self.blocks.remove(&base);
+            return;
+        }
+        self.blocks.insert(base, (size, atomic, false));
+        let free: Vec<u32> = Self::slots(base, size)
+            .filter(|a| !self.live.contains_key(a))
+            .collect();
+        self.free.entry((size, atomic)).or_default().extend(free);
+    }
+
+    /// Realizes the pending blocks the heap has swept since the last
+    /// check.
+    fn realize_swept(&mut self, heap: &Heap) {
+        let swept: Vec<u32> = self
+            .blocks
+            .iter()
+            .filter(|(&base, b)| {
+                b.2 && !heap
+                    .blocks()
+                    .any(|hb| hb.base().raw() == base && hb.is_pending_sweep())
+            })
+            .map(|(&base, _)| base)
+            .collect();
+        for base in swept {
+            self.realize(base);
+        }
+    }
+
+    /// [`realize_swept`](Self::realize_swept), then checks that the heap
+    /// and the model hold the same blocks, pending alike.
+    fn sync(&mut self, heap: &Heap) {
+        self.realize_swept(heap);
+        let heap_blocks: BTreeMap<u32, bool> = heap
+            .blocks()
+            .map(|b| (b.base().raw(), b.is_pending_sweep()))
+            .collect();
+        let model_blocks: BTreeMap<u32, bool> =
+            self.blocks.iter().map(|(&base, b)| (base, b.2)).collect();
+        assert_eq!(heap_blocks, model_blocks, "block sets diverged");
+    }
+
+    /// A sweep with `survivors` marked: eager realizes every block now,
+    /// lazy defers them all.
+    fn sweep(&mut self, survivors: &BTreeSet<u32>, lazy: bool) {
+        self.live.retain(|a, _| survivors.contains(a));
+        self.free.clear();
+        let bases: Vec<u32> = self.blocks.keys().copied().collect();
+        for base in bases {
+            self.blocks.get_mut(&base).expect("model block").2 = true;
+            if !lazy {
+                self.realize(base);
+            }
+        }
+    }
+
+    fn bytes_live(&self) -> u64 {
+        self.live.values().map(|&(size, _)| u64::from(size)).sum()
+    }
+}
+
+/// An operation of the free-list equivalence trace.
+#[derive(Debug, Clone)]
+enum FlOp {
+    Alloc { class: usize, atomic: bool },
+    Free(usize),
+    Sweep { seed: u64, lazy: bool },
+}
+
+fn arb_fl_op() -> impl Strategy<Value = FlOp> {
+    prop_oneof![
+        12 => (0usize..5, any::<bool>()).prop_map(|(class, atomic)| FlOp::Alloc { class, atomic }),
+        4 => any::<usize>().prop_map(FlOp::Free),
+        1 => (any::<u64>(), any::<bool>()).prop_map(|(seed, lazy)| FlOp::Sweep { seed, lazy }),
+    ]
 }
 
 /// An operation in a random allocator trace.
@@ -434,5 +591,136 @@ proptest! {
         }
         // Steady state: memory does not grow without bound across rounds.
         prop_assert_eq!(heap.stats().mapped_pages, peak_pages);
+    }
+
+    /// The word-at-a-time sweep kernel decides exactly what the per-slot
+    /// loop decided, for random allocation, mark and generation bits
+    /// (allocated or not, so old bits on free slots are covered too), in
+    /// full and minor sweeps, with partial last words.
+    #[test]
+    fn sweep_kernel_matches_per_slot_reference(
+        nbits in 1u32..600,
+        words in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 10..11),
+        minor: bool,
+    ) {
+        let mut allocated = bits_of(&words.iter().map(|w| w.0).collect::<Vec<_>>(), nbits);
+        let marked = bits_of(&words.iter().map(|w| w.1).collect::<Vec<_>>(), nbits);
+        let mut old = bits_of(&words.iter().map(|w| w.2).collect::<Vec<_>>(), nbits);
+        let mut alloc_map = bitmap_of(&allocated);
+        let mark_map = AtomicBitmap::new(nbits);
+        for (i, _) in marked.iter().enumerate().filter(|(_, &on)| on) {
+            mark_map.set_atomic(i as u32);
+        }
+        let mut old_map = bitmap_of(&old);
+        let mut freed_by_kernel = Vec::new();
+        let counts = sweep_block(&mut alloc_map, &mark_map, &mut old_map, minor, |w, mut mask| {
+            prop_assert_ne!(mask, 0, "the kernel reports only words that freed something");
+            while mask != 0 {
+                freed_by_kernel.push(w as u32 * 64 + mask.trailing_zeros());
+                mask &= mask - 1;
+            }
+        });
+        let (want, freed) = reference_sweep(&mut allocated, &marked, &mut old, minor);
+        prop_assert_eq!(counts, want);
+        prop_assert_eq!(freed_by_kernel, freed);
+        prop_assert_eq!(alloc_map, bitmap_of(&allocated));
+        prop_assert_eq!(old_map, bitmap_of(&old));
+        prop_assert_eq!(mark_map.iter_ones().collect::<Vec<_>>(),
+            (0..nbits).filter(|&i| marked[i as usize]).collect::<Vec<_>>());
+    }
+
+    /// The block-granular address-ordered free list pops exactly what a
+    /// per-slot `BTreeSet<Addr>` would, across random allocations,
+    /// explicit frees, eager sweeps and lazy sweeps drained partially by
+    /// the allocation slow path — with and without the bump cursor — and
+    /// the heap's stats match the model's after every step.
+    #[test]
+    fn address_ordered_free_list_matches_btreeset_model(
+        ops in proptest::collection::vec(arb_fl_op(), 1..400),
+        bump: bool,
+        budget in 1u32..4,
+    ) {
+        const SIZES: [u32; 5] = [8, 12, 48, 700, 2048];
+        let mut space = AddressSpace::new(Endian::Big);
+        let mut heap = Heap::new(HeapConfig {
+            heap_base: Addr::new(0x10_0000),
+            max_heap_bytes: 64 << 20,
+            growth_pages: 16,
+            bump_alloc: bump,
+            sweep_budget: budget,
+            ..HeapConfig::default()
+        });
+        let mut model = FreeListModel::default();
+        for op in ops {
+            match op {
+                FlOp::Alloc { class, atomic } => {
+                    let size = SizeClass::for_bytes(SIZES[class]).expect("small").bytes();
+                    let kind = if atomic { ObjectKind::Atomic } else { ObjectKind::Composite };
+                    let addr = heap.alloc(&mut space, size, kind, &mut accept_all).unwrap().raw();
+                    model.realize_swept(&heap);
+                    let free = model.free.entry((size, atomic)).or_default();
+                    let want = match free.pop_first() {
+                        Some(a) => a,
+                        None => {
+                            // Nothing available: a fresh block, from its
+                            // first slot up.
+                            prop_assert_eq!(addr % PAGE_BYTES, 0, "fresh blocks start at slot 0");
+                            free.extend(FreeListModel::slots(addr, size).skip(1));
+                            model.blocks.insert(addr, (size, atomic, false));
+                            addr
+                        }
+                    };
+                    prop_assert_eq!(addr, want, "allocation order diverged from the model");
+                    model.live.insert(addr, (size, atomic));
+                    model.bytes_allocated_total += u64::from(size);
+                }
+                FlOp::Free(i) => {
+                    if model.live.is_empty() {
+                        continue;
+                    }
+                    let (&addr, &(size, atomic)) =
+                        model.live.iter().nth(i % model.live.len()).expect("in range");
+                    heap.free_object(Addr::new(addr)).unwrap();
+                    // Freeing realizes a pending block's sweep first.
+                    let base = addr - addr % PAGE_BYTES;
+                    if model.blocks[&base].2 {
+                        model.realize(base);
+                    }
+                    model.live.remove(&addr);
+                    let emptied = model.live_in(base) == 0;
+                    let free = model.free.entry((size, atomic)).or_default();
+                    if emptied {
+                        for a in FreeListModel::slots(base, size) {
+                            free.remove(&a);
+                        }
+                        model.blocks.remove(&base);
+                    } else {
+                        free.insert(addr);
+                    }
+                }
+                FlOp::Sweep { seed, lazy } => {
+                    heap.clear_marks();
+                    model.sync(&heap);
+                    let survivors: BTreeSet<u32> = model
+                        .live
+                        .keys()
+                        .copied()
+                        .filter(|&a| (u64::from(a).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed).count_ones() % 2 == 0)
+                        .collect();
+                    for &a in &survivors {
+                        let obj = heap.object_containing(Addr::new(a)).expect("tracked object");
+                        heap.set_marked(obj);
+                    }
+                    if lazy { heap.sweep_lazy(); } else { heap.sweep(); }
+                    model.sweep(&survivors, lazy);
+                }
+            }
+            model.sync(&heap);
+            let stats = heap.stats();
+            prop_assert_eq!(stats.bytes_live, model.bytes_live());
+            prop_assert_eq!(stats.blocks as usize, model.blocks.len());
+            prop_assert_eq!(stats.bytes_allocated_total, model.bytes_allocated_total);
+            prop_assert_eq!(stats, heap.recomputed_stats());
+        }
     }
 }
