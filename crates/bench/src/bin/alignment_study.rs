@@ -5,10 +5,13 @@
 //! blacklist.
 
 use gc_analysis::alignment::{sweep, table};
+use gc_bench::{finish_args, take_positional};
+use std::num::NonZeroU32;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = take_positional::<NonZeroU32>(&mut args).map_or(4, NonZeroU32::get);
+    finish_args(&args, "Usage: alignment_study [scale]");
     println!("Program T on the SPARC(static) image at scale 1/{scale}\n");
     println!("{}", table(&sweep(1, scale)));
     println!("Paper (§2): unaligned scanning greatly increases false pointers;");

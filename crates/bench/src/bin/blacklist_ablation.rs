@@ -3,10 +3,13 @@
 //! exemption. Program T on the SPARC(static) image at 1/4 scale.
 
 use gc_analysis::ablation;
+use gc_bench::{finish_args, take_positional};
+use std::num::NonZeroU32;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = take_positional::<NonZeroU32>(&mut args).map_or(4, NonZeroU32::get);
+    finish_args(&args, "Usage: blacklist_ablation [scale]");
     let seed = 1;
 
     println!("-- backend: exact bitmap vs hashed one-bit tables --\n");

@@ -5,8 +5,11 @@
 //! the payload values appear only after the victims' pages are allocated.
 
 use gc_analysis::conservativism::{compare, comparison_table, ConservativismRun};
+use gc_bench::finish_args;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: conservativism_degrees");
     let config = ConservativismRun::default();
     println!(
         "{} victim lists x {} cells dropped; {} live records x {} random payload words\n",

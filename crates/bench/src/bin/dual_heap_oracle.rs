@@ -4,11 +4,14 @@
 //! blacklisting addresses cheaply.
 
 use gc_analysis::dual_heap;
+use gc_bench::{finish_args, take_positional};
 use gc_platforms::Profile;
+use std::num::NonZeroU32;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = take_positional::<NonZeroU32>(&mut args).map_or(4, NonZeroU32::get);
+    finish_args(&args, "Usage: dual_heap_oracle [scale]");
     println!(
         "SPARC(static) image, blacklisting OFF, heap copies offset by 64 KB (scale 1/{scale})\n"
     );

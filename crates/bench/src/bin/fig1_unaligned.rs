@@ -6,6 +6,7 @@
 //! bit pattern 0x00090000 — a plausible heap address — out of their
 //! concatenation.
 
+use gc_bench::finish_args;
 use gc_core::{Collector, GcConfig, ScanAlignment};
 use gc_heap::{HeapConfig, ObjectKind};
 use gc_vmspace::{Addr, AddressSpace, Endian, SegmentKind, SegmentSpec};
@@ -53,6 +54,8 @@ fn run(alignment: ScanAlignment) -> (bool, u64) {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: fig1_unaligned");
     println!("Figure 1: memory holds the integers 0x00000009, 0x0000000a");
     println!("          an object lives at address 0x00090000\n");
     for alignment in [

@@ -2,13 +2,16 @@
 //! rectangular grid, embedded links vs. separate cons-cells.
 
 use gc_analysis::TextTable;
+use gc_bench::{finish_args, take_positional};
 use gc_platforms::{BuildOptions, Profile};
 use gc_workloads::{Grid, GridStyle};
+use std::num::{NonZeroU32, NonZeroU64};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let size: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(100);
-    let trials: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let size = take_positional::<NonZeroU32>(&mut args).map_or(100, NonZeroU32::get);
+    let trials = take_positional::<NonZeroU64>(&mut args).map_or(20, NonZeroU64::get);
+    finish_args(&args, "Usage: fig_grid [size [trials]]");
 
     let mut table = TextTable::new(vec![
         "Representation".into(),

@@ -2,8 +2,11 @@
 //! free lists coalesce better than LIFO free lists.
 
 use gc_analysis::fragmentation::{compare, comparison_table, FragmentationRun};
+use gc_bench::finish_args;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: fragmentation");
     let config = FragmentationRun::default();
     let mut reports = Vec::new();
     for seed in 1..=3u64 {

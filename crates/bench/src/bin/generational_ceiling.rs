@@ -9,8 +9,11 @@
 //! minor collection is promoted and survives until a full collection.
 
 use gc_analysis::generational::{compare, comparison_table, GenerationalRun};
+use gc_bench::finish_args;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: generational_ceiling");
     let config = GenerationalRun::default();
     println!(
         "{} transient chains of {} cells, sticky-mark-bit generational GC\n",

@@ -3,9 +3,12 @@
 //! SPARC-static image; under the first-page policy there is no problem.
 
 use gc_analysis::large_alloc::{default_sizes, sweep};
+use gc_bench::finish_args;
 use gc_core::PointerPolicy;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: large_alloc_limit");
     let budget: u64 = 24 << 20; // confine the heap to the polluted region
     for policy in [PointerPolicy::AllInterior, PointerPolicy::FirstPage] {
         let mut max_ok = 0u32;

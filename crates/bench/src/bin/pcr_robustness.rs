@@ -7,11 +7,14 @@
 
 use gc_analysis::table1::run_once;
 use gc_analysis::TextTable;
+use gc_bench::{finish_args, take_positional};
 use gc_platforms::Profile;
+use std::num::NonZeroU32;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = take_positional::<NonZeroU32>(&mut args).map_or(1, NonZeroU32::get);
+    finish_args(&args, "Usage: pcr_robustness [scale]");
     let mut table = TextTable::new(vec![
         "Cedar world".into(),
         "Concurrent client".into(),

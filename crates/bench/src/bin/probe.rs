@@ -2,27 +2,43 @@
 //! profile, both blacklisting toggles, for the given seeds. The
 //! calibration tool behind the numbers in EXPERIMENTS.md.
 //!
-//! Usage: `probe <sparc_static|sparc_dynamic|sgi|os2|pcr> [seed...]`
+//! Usage: `probe [sparc_static|sparc_dynamic|sgi|os2|pcr] [seed...]` —
+//! the row defaults to `sparc_static`, the seeds to 1 2.
 
 use gc_analysis::table1;
+use gc_bench::{finish_args, take_positional};
 use gc_platforms::Profile;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let row = args.first().map(String::as_str).unwrap_or("sparc_static");
-    let seeds: Vec<u64> = if args.len() > 1 {
-        args[1..].iter().filter_map(|s| s.parse().ok()).collect()
-    } else {
-        vec![1, 2]
-    };
-    let profile = match row {
+/// The platform profile behind a Table-1 row name.
+fn profile(row: &str) -> Option<Profile> {
+    Some(match row {
         "sparc_static" => Profile::sparc_static(false),
         "sparc_dynamic" => Profile::sparc_dynamic(false),
         "sgi" => Profile::sgi(false),
         "os2" => Profile::os2(false),
         "pcr" => Profile::pcr(4, false),
-        other => panic!("unknown row {other}"),
+        _ => return None,
+    })
+}
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let row = match args.first() {
+        Some(a) if profile(a).is_some() => args.remove(0),
+        _ => "sparc_static".to_string(),
     };
+    let mut seeds = Vec::new();
+    while let Some(seed) = take_positional::<u64>(&mut args) {
+        seeds.push(seed);
+    }
+    finish_args(
+        &args,
+        "Usage: probe [sparc_static|sparc_dynamic|sgi|os2|pcr] [seed...]",
+    );
+    if seeds.is_empty() {
+        seeds = vec![1, 2];
+    }
+    let profile = profile(&row).expect("row was checked above");
     for &seed in &seeds {
         let off = table1::run_once(&profile, seed, false, 1);
         let on = table1::run_once(&profile, seed, true, 1);

@@ -4,11 +4,14 @@
 
 use gc_analysis::provenance::classify_retention;
 use gc_analysis::table1::shape_for;
+use gc_bench::{finish_args, take_positional};
 use gc_platforms::{BuildOptions, Platform, Profile};
+use std::num::NonZeroU32;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(2);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = take_positional::<NonZeroU32>(&mut args).map_or(2, NonZeroU32::get);
+    finish_args(&args, "Usage: provenance_report [scale]");
     for (profile, blacklisting) in [
         (Profile::sparc_static(false), false),
         (Profile::sparc_static(false), true),

@@ -7,11 +7,13 @@
 //! clearing; ~2,000 optimized.
 
 use gc_analysis::TextTable;
+use gc_bench::{finish_args, take_positional};
 use gc_core::GcConfig;
 use gc_heap::HeapConfig;
 use gc_machine::{FramePolicy, Machine, MachineConfig, StackClearing};
 use gc_vmspace::{Addr, Endian};
 use gc_workloads::Reverse;
+use std::num::NonZeroU32;
 
 fn sparc_like(clearing: bool) -> Machine {
     let mut m = Machine::new(MachineConfig {
@@ -47,8 +49,9 @@ fn sparc_like(clearing: bool) -> Machine {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = take_positional::<NonZeroU32>(&mut args).map_or(1, NonZeroU32::get);
+    finish_args(&args, "Usage: stack_clearing [scale]");
 
     let mut table = TextTable::new(vec![
         "Configuration".into(),

@@ -3,10 +3,13 @@
 //! height.
 
 use gc_analysis::TextTable;
+use gc_bench::finish_args;
 use gc_platforms::{BuildOptions, Profile};
 use gc_workloads::TreeRun;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: tree_retention");
     let mut table = TextTable::new(vec![
         "Nodes".into(),
         "Height".into(),

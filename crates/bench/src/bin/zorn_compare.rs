@@ -3,8 +3,11 @@
 //! because a tracing collector needs free headroom.
 
 use gc_analysis::zorn::{run, table, ZornRun};
+use gc_bench::finish_args;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    finish_args(&args, "Usage: zorn_compare");
     for divisor in [8, 4, 2] {
         let config = ZornRun {
             free_space_divisor: divisor,

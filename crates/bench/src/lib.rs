@@ -128,6 +128,14 @@ pub fn take_mark_threads(args: &mut Vec<String>) -> u32 {
     }
 }
 
+/// Removes and returns the first argument if it parses as `T`. An argument
+/// that does not parse stays in `args`, for [`finish_args`] to reject.
+pub fn take_positional<T: std::str::FromStr>(args: &mut Vec<String>) -> Option<T> {
+    let value = args.first()?.parse().ok()?;
+    args.remove(0);
+    Some(value)
+}
+
 /// Ends a binary's argument parsing, before anything runs. `--help` (or
 /// `-h`) anywhere prints `usage` and exits 0; any other argument still in
 /// `args` is one the binary did not consume, so it is reported with the

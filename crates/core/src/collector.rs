@@ -590,9 +590,7 @@ impl Collector {
                 })
             };
             for &addr in &doomed {
-                if let Some(obj) = marker.heap().object_containing(addr) {
-                    marker.mark_object(obj);
-                }
+                marker.mark_object(addr);
             }
             phases.finalize = t_phase.elapsed();
             finalizers_ready = doomed.len() as u32;
@@ -711,18 +709,10 @@ impl Collector {
                     marker.scan_dirty_old_seed(dirty);
                 }
                 let seeds = marker.take_stack();
-                let vicinity = marker.vicinity();
+                let kernel = marker.kernel();
                 acc = marker.outcome();
                 drop(marker);
-                let par = par_mark::par_drain(
-                    &self.space,
-                    &self.heap,
-                    &self.config,
-                    vicinity,
-                    minor,
-                    seeds,
-                    threads as usize,
-                );
+                let par = par_mark::par_drain(kernel, seeds, threads as usize);
                 acc.merge(par.out);
                 // Merge the workers' blacklist candidates in page order:
                 // deterministic regardless of how work was scheduled.
@@ -797,9 +787,7 @@ impl Collector {
                 })
             };
             for &addr in &doomed {
-                if let Some(obj) = marker.heap().object_containing(addr) {
-                    marker.mark_object(obj);
-                }
+                marker.mark_object(addr);
             }
             acc.merge(marker.outcome());
             phases.finalize = t_phase.elapsed();

@@ -6,7 +6,8 @@
 //! *bit-identical* to the serial one:
 //!
 //! * Each object's mark bit transitions 0→1 exactly once
-//!   ([`Heap::set_marked_shared`] returns `true` to exactly one racing
+//!   ([`Heap::mark_candidate`](gc_heap::Heap::mark_candidate) in
+//!   [`MarkMode::Atomic`] reports it newly set to exactly one racing
 //!   worker), so `objects_marked`/`bytes_marked` totals match serial.
 //! * Each marked composite object is scanned exactly once (only the
 //!   winning worker pushes it), so `heap_words`, `candidates_in_range`,
@@ -16,6 +17,10 @@
 //!   provenance, and within one cycle the blacklist's per-page state is
 //!   insensitive to noting order, so the merged result — and hence
 //!   `dump()` output — is independent of scheduling.
+//!
+//! Every worker runs the serial marker's candidate kernel
+//! ([`MarkKernel`]): the same `consider` and object scan, with false
+//! references going to a per-worker page list instead of the blacklist.
 //!
 //! Workers own one [`StealDeque`] each (LIFO locally, FIFO for thieves)
 //! and terminate via the [`InFlight`] counter; see
@@ -30,12 +35,10 @@
 //! the children it did not spill — so the counter never under-reports
 //! outstanding work.
 
-use crate::mark::{scan_object_fields, MarkOutcome};
+use crate::mark::{MarkKernel, MarkOutcome};
 use crate::stats::MarkWorkerStats;
 use crate::worksteal::{InFlight, StealDeque};
-use crate::{GcConfig, PointerPolicy};
-use gc_heap::{Heap, ObjRef, ObjectKind, PageResolveCache};
-use gc_vmspace::{Addr, AddressSpace, Endian, SegmentHint, PAGE_BYTES};
+use gc_heap::{MarkMode, ObjRef};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -53,25 +56,7 @@ const SPILL_MIN: usize = 8;
 /// A batch of marked composite objects awaiting scanning.
 type Batch = Vec<ObjRef>;
 
-/// Everything the mark loop reads; shared immutably across workers.
-struct Shared<'a> {
-    space: &'a AddressSpace,
-    heap: &'a Heap,
-    endian: Endian,
-    policy: PointerPolicy,
-    stride: usize,
-    blacklisting: bool,
-    vic_lo: u64,
-    vic_hi: u64,
-    minor: bool,
-    /// One worker total: mark bits may skip the atomic read-modify-write.
-    single: bool,
-    /// Each worker keeps a private [`PageResolveCache`] when enabled.
-    resolve_cache: bool,
-}
-
 /// One worker's private results, merged deterministically after the join.
-#[derive(Default)]
 struct WorkerResult {
     out: MarkOutcome,
     stolen: u64,
@@ -93,37 +78,22 @@ pub(crate) struct ParallelOutcome {
 }
 
 /// Drains `seeds` (already-marked composite objects) to the transitive
-/// fixed point using `nworkers` scoped threads.
+/// fixed point using `nworkers` scoped threads, each running the serial
+/// marker's candidate kernel `k` with atomic mark bits.
 pub(crate) fn par_drain(
-    space: &AddressSpace,
-    heap: &Heap,
-    config: &GcConfig,
-    vicinity: (u64, u64),
-    minor: bool,
+    mut k: MarkKernel<'_>,
     seeds: Vec<ObjRef>,
     nworkers: usize,
 ) -> ParallelOutcome {
     let nworkers = nworkers.max(1);
-    let shared = Shared {
-        space,
-        heap,
-        endian: space.endian(),
-        policy: config.pointer_policy,
-        stride: config.scan_alignment.stride() as usize,
-        blacklisting: config.blacklisting,
-        vic_lo: vicinity.0,
-        vic_hi: vicinity.1,
-        minor,
-        single: nworkers == 1,
-        resolve_cache: config.resolve_cache,
-    };
     let results: Vec<WorkerResult> = if nworkers == 1 {
-        // One worker: run the drain inline on the calling thread with a
-        // plain mark stack. Spawning a thread to immediately join it buys
-        // nothing, and sharing machinery (batches, deques, termination
-        // counter) is pure per-object overhead with nobody to share with.
-        vec![drain_single(&shared, seeds)]
+        // One worker: run the serial drain inline on the calling thread.
+        // Spawning a thread to immediately join it buys nothing, and
+        // sharing machinery (batches, deques, termination counter) is pure
+        // per-object overhead with nobody to share with.
+        vec![drain_single(k, seeds)]
     } else {
+        k.mode = MarkMode::Atomic;
         let queues: Vec<StealDeque<Batch>> = (0..nworkers).map(|_| StealDeque::new()).collect();
         let seed_batches: Vec<Batch> = seeds.chunks(BATCH).map(<[ObjRef]>::to_vec).collect();
         let inflight = InFlight::new(seed_batches.len() as u64);
@@ -134,11 +104,11 @@ pub(crate) fn par_drain(
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..nworkers)
                 .map(|w| {
-                    let shared = &shared;
+                    let k = &k;
                     let queues = &queues;
                     let inflight = &inflight;
                     let hungry = &hungry;
-                    s.spawn(move || worker_loop(shared, w, queues, inflight, hungry))
+                    s.spawn(move || worker_loop(k, w, queues, inflight, hungry))
                 })
                 .collect();
             handles
@@ -170,43 +140,36 @@ pub(crate) fn par_drain(
     }
 }
 
-/// The one-worker drain: the serial mark loop over the parallel scan path.
-fn drain_single(shared: &Shared<'_>, seeds: Vec<ObjRef>) -> WorkerResult {
+/// The one-worker drain: the serial mark loop, with false references
+/// buffered like a parallel worker's.
+fn drain_single(k: MarkKernel<'_>, seeds: Vec<ObjRef>) -> WorkerResult {
     let start = Instant::now();
-    let mut res = WorkerResult::default();
-    let mut cache = shared.resolve_cache.then(PageResolveCache::new);
-    let mut hint = SegmentHint::new();
-    let mut local = seeds;
-    while let Some(obj) = local.pop() {
-        scan_object(shared, obj, &mut local, &mut res, &mut cache, &mut hint);
-    }
-    finish_cache(&mut res, cache);
-    res.duration = start.elapsed();
-    res
-}
-
-/// Folds a worker's private cache counters into its result.
-fn finish_cache(res: &mut WorkerResult, cache: Option<PageResolveCache>) {
-    if let Some(cache) = cache {
-        res.out.resolve_hits = cache.hits();
-        res.out.resolve_misses = cache.misses();
+    let mut st = k.state(seeds);
+    let mut false_pages = Vec::new();
+    k.drain(&mut st, &mut false_pages, u64::MAX);
+    WorkerResult {
+        out: st.outcome(),
+        stolen: 0,
+        duration: start.elapsed(),
+        false_pages,
     }
 }
 
 fn worker_loop(
-    shared: &Shared<'_>,
+    k: &MarkKernel<'_>,
     me: usize,
     queues: &[StealDeque<Batch>],
     inflight: &InFlight,
     hungry: &AtomicUsize,
 ) -> WorkerResult {
     let start = Instant::now();
-    let mut res = WorkerResult::default();
-    let mut cache = shared.resolve_cache.then(PageResolveCache::new);
-    // Per-worker segment hint: concurrent workers scanning through the
-    // shared `AddressSpace` cache would ping-pong its single entry.
-    let mut hint = SegmentHint::new();
-    let mut local: Vec<ObjRef> = Vec::new();
+    // A private resolve cache and segment hint per worker: concurrent
+    // workers sharing one would ping-pong its entries. The counters, hint
+    // and stack stay in locals for the whole loop.
+    let mut st = k.state(Vec::new());
+    let (mut out, mut hint, mut local) = (st.out, st.hint, Vec::new());
+    let mut false_pages = Vec::new();
+    let mut stolen = 0;
     let mut am_hungry = false;
     let n = queues.len();
     loop {
@@ -215,10 +178,10 @@ fn worker_loop(
             // Steal round: visit victims in a fixed rotation starting past
             // ourselves, so contention spreads instead of piling onto
             // worker 0.
-            for k in 1..n {
-                if let Some(stolen) = queues[(me + k) % n].steal() {
-                    res.stolen += 1;
-                    batch = Some(stolen);
+            for j in 1..n {
+                if let Some(items) = queues[(me + j) % n].steal() {
+                    stolen += 1;
+                    batch = Some(items);
                     break;
                 }
             }
@@ -231,7 +194,14 @@ fn worker_loop(
                 }
                 local.extend(items);
                 while let Some(obj) = local.pop() {
-                    scan_object(shared, obj, &mut local, &mut res, &mut cache, &mut hint);
+                    k.trace(
+                        obj,
+                        &mut out,
+                        &mut st.cache,
+                        &mut hint,
+                        &mut local,
+                        &mut false_pages,
+                    );
                     // Spill the *bottom* of the stack (the older entries —
                     // roots of the largest unexplored subgraphs) when the
                     // stack is overfull, or as soon as any worker is
@@ -269,98 +239,21 @@ fn worker_loop(
     if am_hungry {
         hungry.fetch_sub(1, Ordering::Relaxed);
     }
-    finish_cache(&mut res, cache);
-    res.duration = start.elapsed();
-    res
-}
-
-/// The parallel twin of the serial marker's `drain` body for one object:
-/// the same shared scan kernel, with candidates fed to the racing
-/// `consider`.
-fn scan_object(
-    shared: &Shared<'_>,
-    obj: ObjRef,
-    local: &mut Vec<ObjRef>,
-    res: &mut WorkerResult,
-    cache: &mut Option<PageResolveCache>,
-    hint: &mut SegmentHint,
-) {
-    let words = scan_object_fields(
-        shared.space,
-        shared.heap,
-        shared.endian,
-        shared.stride,
-        obj,
-        hint,
-        |value| consider(shared, value, local, res, cache),
-    );
-    res.out.heap_words += words;
-}
-
-/// Figure 2's `mark(p)`, racing against other workers on the mark bit.
-#[inline]
-fn consider(
-    shared: &Shared<'_>,
-    value: u32,
-    local: &mut Vec<ObjRef>,
-    res: &mut WorkerResult,
-    cache: &mut Option<PageResolveCache>,
-) {
-    let v = u64::from(value);
-    if v < shared.vic_lo || v >= shared.vic_hi {
-        return;
+    st.out = out;
+    WorkerResult {
+        out: st.outcome(),
+        stolen,
+        duration: start.elapsed(),
+        false_pages,
     }
-    res.out.candidates_in_range += 1;
-    let addr = Addr::new(value);
-    match resolve(shared, addr, cache) {
-        Some(obj) => {
-            res.out.valid_pointers += 1;
-            if shared.minor && shared.heap.is_old(obj) {
-                return;
-            }
-            let newly = if shared.single {
-                shared.heap.set_marked_single(obj)
-            } else {
-                shared.heap.set_marked_shared(obj)
-            };
-            if newly {
-                res.out.objects_marked += 1;
-                res.out.bytes_marked += u64::from(obj.bytes);
-                if obj.kind == ObjectKind::Composite {
-                    local.push(obj);
-                }
-            }
-        }
-        None => {
-            res.out.false_refs_near_heap += 1;
-            if shared.blacklisting {
-                res.false_pages.push(addr.page().raw());
-            }
-        }
-    }
-}
-
-fn resolve(
-    shared: &Shared<'_>,
-    addr: Addr,
-    cache: &mut Option<PageResolveCache>,
-) -> Option<ObjRef> {
-    let obj = match cache {
-        Some(cache) => shared.heap.object_containing_cached(addr, cache)?,
-        None => shared.heap.object_containing(addr)?,
-    };
-    let ok = match shared.policy {
-        PointerPolicy::AllInterior => true,
-        PointerPolicy::FirstPage => addr.offset_from(obj.base) < PAGE_BYTES,
-        PointerPolicy::BaseOnly => addr == obj.base,
-    };
-    ok.then_some(obj)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_heap::{accept_all, HeapConfig};
+    use crate::GcConfig;
+    use gc_heap::{accept_all, Heap, HeapConfig, ObjectKind};
+    use gc_vmspace::{AddressSpace, Endian};
 
     #[test]
     fn parallel_drain_reaches_the_transitive_closure() {
@@ -382,7 +275,8 @@ mod tests {
         assert!(heap.set_marked(obj_a), "seed premarked, as after root scan");
 
         let config = GcConfig::default();
-        let result = par_drain(&space, &heap, &config, (0, 1 << 32), false, vec![obj_a], 4);
+        let k = MarkKernel::new(&space, &heap, &config);
+        let result = par_drain(k, vec![obj_a], 4);
         for addr in [b, c] {
             let obj = heap.object_containing(addr).unwrap();
             assert!(heap.is_marked(obj), "{addr} reached through the chain");
@@ -401,7 +295,7 @@ mod tests {
         let space = AddressSpace::new(Endian::Big);
         let heap = Heap::new(HeapConfig::default());
         let config = GcConfig::default();
-        let result = par_drain(&space, &heap, &config, (0, 1 << 32), false, Vec::new(), 8);
+        let result = par_drain(MarkKernel::new(&space, &heap, &config), Vec::new(), 8);
         assert_eq!(result.out.objects_marked, 0);
         assert_eq!(result.out.heap_words, 0);
         assert!(result.false_pages.is_empty());

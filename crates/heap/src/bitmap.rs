@@ -49,7 +49,7 @@ impl Bitmap {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, i: u32) -> bool {
         assert!(i < self.nbits, "bit index {i} out of range {}", self.nbits);
         self.words[(i / 64) as usize] >> (i % 64) & 1 == 1
@@ -215,7 +215,7 @@ impl AtomicBitmap {
         self.nbits == 0
     }
 
-    #[inline]
+    #[inline(always)]
     fn check(&self, i: u32) {
         assert!(i < self.nbits, "bit index {i} out of range {}", self.nbits);
     }
@@ -225,7 +225,7 @@ impl AtomicBitmap {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, i: u32) -> bool {
         self.check(i);
         self.words[(i / 64) as usize].load(Ordering::Relaxed) >> (i % 64) & 1 == 1
@@ -237,7 +237,7 @@ impl AtomicBitmap {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    #[inline]
+    #[inline(always)]
     pub fn set_atomic(&self, i: u32) -> bool {
         self.check(i);
         let mask = 1u64 << (i % 64);
@@ -257,7 +257,7 @@ impl AtomicBitmap {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    #[inline]
+    #[inline(always)]
     pub fn set_relaxed(&self, i: u32) -> bool {
         self.check(i);
         let mask = 1u64 << (i % 64);

@@ -158,6 +158,7 @@ impl Block {
     }
 
     /// The block's identifier.
+    #[inline]
     pub fn id(&self) -> BlockId {
         self.id
     }
@@ -176,6 +177,7 @@ impl Block {
     }
 
     /// Whether the block's objects may contain pointers.
+    #[inline]
     pub fn kind(&self) -> ObjectKind {
         self.kind
     }
@@ -186,6 +188,7 @@ impl Block {
     }
 
     /// Object size in bytes for every slot of this block.
+    #[inline]
     pub fn obj_bytes(&self) -> u32 {
         match self.shape {
             BlockShape::Small { class } => class.bytes(),
@@ -194,6 +197,7 @@ impl Block {
     }
 
     /// Number of object slots in the block.
+    #[inline]
     pub fn slots(&self) -> u32 {
         match self.shape {
             BlockShape::Small { class } => class.objects_per_page(),
@@ -211,6 +215,7 @@ impl Block {
     /// # Panics
     ///
     /// Panics if `index >= slots()`.
+    #[inline]
     pub fn slot_base(&self, index: u32) -> Addr {
         assert!(index < self.slots(), "slot index out of range");
         self.base + index * self.obj_bytes()
@@ -221,14 +226,20 @@ impl Block {
     /// Returns `None` for addresses in the block's trailing waste (the
     /// unused remainder when the object size does not divide the page) or
     /// past a large object's granule-rounded end.
+    #[inline]
     pub fn slot_containing(&self, addr: Addr) -> Option<u32> {
         if addr < self.base {
             return None;
         }
         let off = addr - self.base;
         match self.shape {
+            // A small block is one page, so any in-block offset is below
+            // `PAGE_BYTES`, where the class reciprocal is exact.
             BlockShape::Small { class } => {
-                let idx = off / class.bytes();
+                if off >= PAGE_BYTES {
+                    return None;
+                }
+                let idx = class.slot_of_offset(off);
                 (idx < class.objects_per_page()).then_some(idx)
             }
             BlockShape::Large { obj_bytes } => (off < obj_bytes).then_some(0),

@@ -51,7 +51,7 @@ impl PageMap {
 const RESOLVE_CACHE_ENTRIES: usize = 256;
 
 /// A small direct-mapped page → block cache for the mark phase's candidate
-/// resolution ([`Heap::object_containing_cached`]).
+/// step ([`Heap::mark_candidate`]).
 ///
 /// Candidate pointers cluster heavily by page — a block's objects are
 /// contiguous, and the mark stack drains neighbours together — so most
@@ -67,8 +67,14 @@ const RESOLVE_CACHE_ENTRIES: usize = 256;
 /// collections, sweeps, and heap growth without ever returning a stale
 /// block. During a mark phase the heap is frozen, so the epoch is constant
 /// and every repeat lookup hits.
+///
+/// A [`disabled`](PageResolveCache::disabled) cache keeps nothing and
+/// counts nothing: every lookup walks the page map, and both counters stay
+/// 0. It lets one candidate kernel serve collectors with the cache off.
 #[derive(Debug)]
 pub struct PageResolveCache {
+    /// `false` for a cache that keeps nothing and counts nothing.
+    enabled: bool,
     /// Cached page index per entry; `u32::MAX` = empty (pages are < 2^20).
     tags: [u32; RESOLVE_CACHE_ENTRIES],
     /// Cached raw block id per entry; `u32::MAX` = "page has no block".
@@ -90,11 +96,21 @@ impl PageResolveCache {
     /// first lookup).
     pub fn new() -> Self {
         PageResolveCache {
+            enabled: true,
             tags: [u32::MAX; RESOLVE_CACHE_ENTRIES],
             vals: [u32::MAX; RESOLVE_CACHE_ENTRIES],
             epoch: 0,
             hits: 0,
             misses: 0,
+        }
+    }
+
+    /// A cache that keeps nothing and counts nothing: every lookup walks
+    /// the page map.
+    pub fn disabled() -> Self {
+        PageResolveCache {
+            enabled: false,
+            ..Self::new()
         }
     }
 
@@ -111,6 +127,9 @@ impl PageResolveCache {
     /// The page-map answer for `page`, from the cache when current.
     #[inline]
     fn block_for(&mut self, page: PageIdx, map: &PageMap) -> Option<BlockId> {
+        if !self.enabled {
+            return map.get(page);
+        }
         if self.epoch != map.epoch {
             self.tags = [u32::MAX; RESOLVE_CACHE_ENTRIES];
             self.epoch = map.epoch;
@@ -127,6 +146,17 @@ impl PageResolveCache {
         self.vals[slot] = id.map_or(PageMap::NONE, |b| b.0);
         id
     }
+}
+
+/// How [`Heap::mark_candidate`] sets a mark bit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MarkMode {
+    /// A plain load and store: only correct while one thread marks, where
+    /// the locked read-modify-write would be pure overhead.
+    Single,
+    /// An atomic test-and-set: across racing mark workers, exactly one
+    /// sees the bit newly set.
+    Atomic,
 }
 
 /// How a candidate page would be used, passed to placement predicates.
@@ -1041,6 +1071,7 @@ impl Heap {
     }
 
     /// The live block with the given id, if any.
+    #[inline]
     pub fn block(&self, id: BlockId) -> Option<&Block> {
         self.blocks.get(id.0 as usize)?.as_ref()
     }
@@ -1057,7 +1088,7 @@ impl Heap {
     /// unmarked-or-young) slots are already condemned — the deferred sweep
     /// only realizes the decision. This keeps lazy sweeping transparent:
     /// every liveness view agrees with what an eager sweep would have left.
-    #[inline]
+    #[inline(always)]
     fn slot_live(&self, block: &Block, slot: u32) -> bool {
         block.allocated.get(slot)
             && (!block.pending
@@ -1084,29 +1115,65 @@ impl Heap {
         })
     }
 
-    /// [`object_containing`](Heap::object_containing) with the page → block
-    /// step served from `cache` — the mark phase's hot path. Semantically
-    /// identical to the uncached resolve for any cache state: stale entries
-    /// are detected by epoch and refilled (see [`PageResolveCache`]).
-    #[inline]
-    pub fn object_containing_cached(
+    /// Figure 2's candidate step in one block lookup: resolves `addr`
+    /// through `cache`, applies the caller's pointer policy, and marks.
+    ///
+    /// The page → block step goes through `cache` (a
+    /// [`disabled`](PageResolveCache::disabled) one walks the page map),
+    /// then the block is read once:
+    ///
+    /// 1. the slot containing `addr` is found without a division;
+    /// 2. the slot must be live, honouring a pending lazy-sweep snapshot
+    ///    exactly as [`object_containing`](Heap::object_containing) does;
+    /// 3. `accept` gets the object's base and may refuse the candidate
+    ///    (the interior-pointer policy);
+    /// 4. in `minor` mode an old object (see [`is_old`](Heap::is_old)) is
+    ///    a generation boundary and is left unmarked;
+    /// 5. otherwise the mark bit is set as `mode` says.
+    ///
+    /// Returns `None` when `addr` is not a valid object address (steps 1–3
+    /// fail), else the object and whether this call newly set its mark
+    /// bit. Equivalent to `object_containing`, the policy check, `is_old`
+    /// and [`set_marked`](Heap::set_marked) in sequence, but usable through
+    /// a shared reference by the parallel mark workers.
+    ///
+    /// Always inlined, like the bitmap accessors and `slot_live` it calls:
+    /// it runs once per candidate word, and the inliner left these as
+    /// calls in some mark loops.
+    #[inline(always)]
+    pub fn mark_candidate(
         &self,
         addr: Addr,
         cache: &mut PageResolveCache,
-    ) -> Option<ObjRef> {
+        mode: MarkMode,
+        minor: bool,
+        accept: impl FnOnce(Addr) -> bool,
+    ) -> Option<(ObjRef, bool)> {
         let id = cache.block_for(addr.page(), &self.page_map)?;
         let block = self.block(id)?;
         let slot = block.slot_containing(addr)?;
         if !self.slot_live(block, slot) {
             return None;
         }
-        Some(ObjRef {
-            block: block.id(),
+        let base = block.slot_base(slot);
+        if !accept(base) {
+            return None;
+        }
+        let obj = ObjRef {
+            block: id,
             index: slot,
-            base: block.slot_base(slot),
+            base,
             bytes: block.obj_bytes(),
             kind: block.kind(),
-        })
+        };
+        if minor && (block.pending || block.old.get(slot)) {
+            return Some((obj, false));
+        }
+        let newly = match mode {
+            MarkMode::Single => block.marked.set_relaxed(slot),
+            MarkMode::Atomic => block.marked.set_atomic(slot),
+        };
+        Some((obj, newly))
     }
 
     /// Returns `true` if `addr` is the base address of a live object.
@@ -1129,40 +1196,6 @@ impl Heap {
             block.marked.set(obj.index);
             true
         }
-    }
-
-    /// Atomically sets the mark bit of an object through a shared reference.
-    /// Returns `true` iff this caller newly set it — across racing parallel
-    /// mark workers, exactly one receives `true` per object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` does not refer to a live block (an `ObjRef` is only
-    /// obtainable for live objects, and the heap is frozen during marking).
-    pub fn set_marked_shared(&self, obj: ObjRef) -> bool {
-        self.block(obj.block)
-            .expect("marking a live object")
-            .marked
-            .set_atomic(obj.index)
-    }
-
-    /// Sets the mark bit of an object through a shared reference without
-    /// an atomic read-modify-write. Returns `true` iff the bit was clear.
-    ///
-    /// Only equivalent to [`set_marked_shared`](Self::set_marked_shared)
-    /// while a single thread is marking — the mark drain uses it when it
-    /// runs with one worker, where the locked `fetch_or` would be pure
-    /// overhead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` does not refer to a live block (an `ObjRef` is only
-    /// obtainable for live objects, and the heap is frozen during marking).
-    pub fn set_marked_single(&self, obj: ObjRef) -> bool {
-        self.block(obj.block)
-            .expect("marking a live object")
-            .marked
-            .set_relaxed(obj.index)
     }
 
     /// Clears every mark bit (start of a collection).
@@ -1893,9 +1926,19 @@ mod tests {
             .unwrap();
         heap.clear_marks();
         let obj = heap.object_containing(a).unwrap();
-        assert!(heap.set_marked_shared(obj), "first shared mark wins");
-        assert!(!heap.set_marked_shared(obj), "already marked");
-        assert!(!heap.set_marked_single(obj), "single-worker path agrees");
+        let mut cache = PageResolveCache::new();
+        let mut mark = |mode| heap.mark_candidate(a + 4, &mut cache, mode, false, |_| true);
+        assert_eq!(
+            mark(MarkMode::Atomic),
+            Some((obj, true)),
+            "first shared mark wins"
+        );
+        assert_eq!(mark(MarkMode::Atomic), Some((obj, false)), "already marked");
+        assert_eq!(
+            mark(MarkMode::Single),
+            Some((obj, false)),
+            "single-worker path agrees"
+        );
         assert!(!heap.set_marked(obj), "exclusive path sees the shared mark");
         assert!(heap.is_marked(obj));
         let stats = heap.sweep();
@@ -2499,10 +2542,14 @@ mod quarantine_tests {
             Addr::new(0x10),
             Addr::new(0x712_3000),
         ];
+        let resolve = |addr, cache: &mut PageResolveCache| {
+            heap.mark_candidate(addr, cache, MarkMode::Single, false, |_| true)
+                .map(|(obj, _)| obj)
+        };
         for addr in probes {
             assert_eq!(
                 heap.object_containing(addr),
-                heap.object_containing_cached(addr, &mut cache),
+                resolve(addr, &mut cache),
                 "cached resolution diverged at {addr}"
             );
         }
@@ -2512,10 +2559,7 @@ mod quarantine_tests {
         // A second pass over the same pages is all hits (the heap is
         // unchanged, so the page-map epoch is unchanged).
         for addr in probes {
-            assert_eq!(
-                heap.object_containing(addr),
-                heap.object_containing_cached(addr, &mut cache)
-            );
+            assert_eq!(heap.object_containing(addr), resolve(addr, &mut cache));
         }
         assert_eq!(
             cache.misses(),
@@ -2532,15 +2576,19 @@ mod quarantine_tests {
             .alloc(&mut space, 8, ObjectKind::Composite, &mut accept_all)
             .unwrap();
         let mut cache = PageResolveCache::new();
-        heap.object_containing_cached(a, &mut cache).unwrap();
-        heap.object_containing_cached(a, &mut cache).unwrap();
+        let resolve = |heap: &Heap, cache: &mut PageResolveCache| {
+            heap.mark_candidate(a, cache, MarkMode::Single, false, |_| true)
+                .map(|(obj, _)| obj)
+        };
+        resolve(&heap, &mut cache).unwrap();
+        resolve(&heap, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Mapping a block of a new size class mutates the page map and
         // bumps its epoch: the next lookup must flush and re-walk, not
         // serve the stale entry.
         heap.alloc(&mut space, 2048, ObjectKind::Composite, &mut accept_all)
             .unwrap();
-        let resolved = heap.object_containing_cached(a, &mut cache);
+        let resolved = resolve(&heap, &mut cache);
         assert_eq!(resolved, heap.object_containing(a));
         assert_eq!(
             (cache.hits(), cache.misses()),
@@ -2552,7 +2600,7 @@ mod quarantine_tests {
         heap.clear_marks();
         heap.sweep();
         assert_eq!(
-            heap.object_containing_cached(a, &mut cache),
+            resolve(&heap, &mut cache),
             None,
             "released block is not resurrected by the cache"
         );

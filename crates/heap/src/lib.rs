@@ -55,7 +55,7 @@ pub use error::HeapError;
 pub use explicit::ExplicitHeap;
 pub use freelist::FreeListPolicy;
 pub use heap::{
-    accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats,
+    accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats, MarkMode,
     PagePredicate, PageResolveCache, PageUse, SizeClassCensus, SweepStats,
 };
 pub use sizeclass::{SizeClass, GRANULE_BYTES, MAX_SMALL_BYTES};

@@ -24,6 +24,43 @@ const CLASS_GRANULES: [u32; 18] = [
 /// objects.
 pub const MAX_SMALL_BYTES: u32 = CLASS_GRANULES[CLASS_GRANULES.len() - 1] * GRANULE_BYTES;
 
+/// Per-class object sizes in bytes.
+const CLASS_BYTES: [u32; SizeClass::COUNT] = {
+    let mut t = [0; SizeClass::COUNT];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = CLASS_GRANULES[i] * GRANULE_BYTES;
+        i += 1;
+    }
+    t
+};
+
+/// Per-class slot counts of a one-page block.
+const CLASS_OBJECTS_PER_PAGE: [u32; SizeClass::COUNT] = {
+    let mut t = [0; SizeClass::COUNT];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = PAGE_BYTES / CLASS_BYTES[i];
+        i += 1;
+    }
+    t
+};
+
+/// Per-class 32-bit reciprocals `ceil(2^32 / bytes)`. For `off < PAGE_BYTES`,
+/// `(off * recip) >> 32 == off / bytes` exactly: the reciprocal's rounding
+/// error is below `bytes`, so it adds less than `off / 2^32 < 2^-20` to the
+/// exact quotient, whose fractional part is at most `1 - 1 / bytes` and
+/// `1 / bytes >= 2^-11`.
+const CLASS_RECIPROCALS: [u32; SizeClass::COUNT] = {
+    let mut t = [0; SizeClass::COUNT];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = (1u64 << 32).div_ceil(CLASS_BYTES[i] as u64) as u32;
+        i += 1;
+    }
+    t
+};
+
 /// A small-object size class.
 ///
 /// # Example
@@ -50,13 +87,27 @@ impl SizeClass {
     }
 
     /// Object size of this class in bytes.
+    #[inline]
     pub fn bytes(self) -> u32 {
-        CLASS_GRANULES[self.0 as usize] * GRANULE_BYTES
+        CLASS_BYTES[self.0 as usize]
     }
 
     /// Number of objects of this class that fit in one page.
+    #[inline]
     pub fn objects_per_page(self) -> u32 {
-        PAGE_BYTES / self.bytes()
+        CLASS_OBJECTS_PER_PAGE[self.0 as usize]
+    }
+
+    /// `off / bytes()` without a division, by the class's reciprocal.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `off >= PAGE_BYTES`, where the reciprocal is
+    /// not proven exact.
+    #[inline]
+    pub fn slot_of_offset(self, off: u32) -> u32 {
+        debug_assert!(off < PAGE_BYTES, "offset {off} is outside one page");
+        ((u64::from(off) * u64::from(CLASS_RECIPROCALS[self.0 as usize])) >> 32) as u32
     }
 
     /// All size classes, smallest first.
@@ -65,6 +116,7 @@ impl SizeClass {
     }
 
     /// Index of this class in the class table.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -122,6 +174,20 @@ mod tests {
             if c.index() > 0 {
                 let prev = SizeClass(c.index() as u8 - 1);
                 assert!(prev.bytes() < bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_slot_index_is_exact_on_every_page_offset() {
+        for c in SizeClass::all() {
+            assert_eq!(c.objects_per_page(), PAGE_BYTES / c.bytes(), "{c}");
+            for off in 0..PAGE_BYTES {
+                assert_eq!(
+                    c.slot_of_offset(off),
+                    off / c.bytes(),
+                    "{c} at offset {off}"
+                );
             }
         }
     }

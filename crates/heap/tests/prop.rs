@@ -2,7 +2,7 @@
 
 use gc_heap::{
     accept_all, sweep_block, AtomicBitmap, Bitmap, BlockShape, BlockSweep, ExplicitHeap,
-    FreeListPolicy, Heap, HeapConfig, ObjectKind, SizeClass,
+    FreeListPolicy, Heap, HeapConfig, MarkMode, ObjRef, ObjectKind, PageResolveCache, SizeClass,
 };
 use gc_vmspace::{Addr, AddressSpace, Endian, PAGE_BYTES};
 use proptest::prelude::*;
@@ -245,6 +245,132 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => any::<usize>().prop_map(Op::FreeIdx),
         1 => Just(Op::SweepNothingMarked),
     ]
+}
+
+/// Object sizes for the mark-kernel heaps: small classes with trailing
+/// waste (12, 24 and 48 bytes do not divide a page), exact fits, and large
+/// objects.
+const KERNEL_SIZES: [u32; 7] = [12, 24, 48, 4, 16, 5000, 9000];
+
+/// The three interior-pointer policies of the collector, as the mark
+/// kernel's `accept` closure sees them.
+#[derive(Clone, Copy, Debug)]
+enum Policy {
+    AllInterior,
+    FirstPage,
+    BaseOnly,
+}
+
+impl Policy {
+    fn accepts(self, addr: Addr, base: Addr) -> bool {
+        match self {
+            Policy::AllInterior => true,
+            Policy::FirstPage => addr.offset_from(base) < PAGE_BYTES,
+            Policy::BaseOnly => addr == base,
+        }
+    }
+}
+
+/// Which sweep ends the second allocation round, leaving the state the
+/// candidates are resolved against.
+#[derive(Clone, Copy, Debug)]
+enum Snapshot {
+    /// An eager sweep, then cleared marks: nothing pending.
+    Eager,
+    /// A full lazy snapshot: blocks pending, unmarked slots condemned.
+    FullLazy,
+    /// A minor lazy snapshot: old slots survive regardless of marks.
+    MinorLazy,
+}
+
+/// Builds a heap deterministically: a first round of allocations with a
+/// seeded survivor set swept eagerly (survivors turn old, emptied blocks
+/// are released), a second round swept as `snapshot` says, then `drain`
+/// allocations that realize part of any pending work. Returns the heap
+/// and every address ever allocated.
+fn build_kernel_heap(
+    rounds: &[(Vec<(usize, bool)>, u64)],
+    snapshot: Snapshot,
+    drain: usize,
+) -> (Heap, Vec<Addr>) {
+    let mut space = AddressSpace::new(Endian::Big);
+    let mut heap = Heap::new(HeapConfig {
+        heap_base: Addr::new(0x10_0000),
+        max_heap_bytes: 64 << 20,
+        growth_pages: 16,
+        sweep_budget: 1,
+        ..HeapConfig::default()
+    });
+    let mut all = Vec::new();
+    let mut live: Vec<Addr> = Vec::new();
+    for (round, (allocs, seed)) in rounds.iter().enumerate() {
+        for &(size, atomic) in allocs {
+            let kind = if atomic {
+                ObjectKind::Atomic
+            } else {
+                ObjectKind::Composite
+            };
+            let addr = heap
+                .alloc(&mut space, KERNEL_SIZES[size], kind, &mut accept_all)
+                .unwrap();
+            all.push(addr);
+            live.push(addr);
+        }
+        heap.clear_marks();
+        live.retain(|a| {
+            (u64::from(a.raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed).count_ones() % 2 == 0
+        });
+        for &a in &live {
+            let obj = heap.object_containing(a).expect("tracked object");
+            heap.set_marked(obj);
+        }
+        let last = round + 1 == rounds.len();
+        match (last, snapshot) {
+            (false, _) | (true, Snapshot::Eager) => {
+                heap.sweep();
+                heap.clear_marks();
+            }
+            (true, Snapshot::FullLazy) => {
+                heap.sweep_lazy();
+            }
+            (true, Snapshot::MinorLazy) => {
+                heap.sweep_young_lazy();
+            }
+        }
+    }
+    for i in 0..drain {
+        let size = KERNEL_SIZES[i % 3];
+        all.push(
+            heap.alloc(&mut space, size, ObjectKind::Composite, &mut accept_all)
+                .unwrap(),
+        );
+    }
+    (heap, all)
+}
+
+/// The composition the fused kernel replaces: resolve, apply the policy,
+/// skip old objects in minor mode, then set the mark bit.
+fn reference_mark(
+    heap: &mut Heap,
+    addr: Addr,
+    policy: Policy,
+    minor: bool,
+) -> Option<(ObjRef, bool)> {
+    let obj = heap.object_containing(addr)?;
+    if !policy.accepts(addr, obj.base) {
+        return None;
+    }
+    if minor && heap.is_old(obj) {
+        return Some((obj, false));
+    }
+    Some((obj, heap.set_marked(obj)))
+}
+
+/// Every block's base and mark bits, in block order.
+fn mark_bits(heap: &Heap) -> Vec<(Addr, Vec<bool>)> {
+    heap.blocks()
+        .map(|b| (b.base(), (0..b.slots()).map(|i| b.is_marked(i)).collect()))
+        .collect()
 }
 
 proptest! {
@@ -722,5 +848,80 @@ proptest! {
             prop_assert_eq!(stats.bytes_allocated_total, model.bytes_allocated_total);
             prop_assert_eq!(stats, heap.recomputed_stats());
         }
+    }
+
+    /// `Heap::mark_candidate` answers exactly what the composition it
+    /// fuses answers — `object_containing`, the policy check, `is_old`,
+    /// `set_marked` — for addresses inside, between and outside blocks,
+    /// on heaps with trailing-waste classes, large objects, released
+    /// blocks and blocks still pending after full or minor lazy
+    /// snapshots; under every policy, both mark modes, minor or not, and
+    /// the resolve cache on or off. The cache's counters match a model of
+    /// a 256-entry direct-mapped page cache, and stay 0 when it is off.
+    #[test]
+    fn mark_candidate_matches_the_composed_reference(
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((0usize..KERNEL_SIZES.len(), any::<bool>()), 1..80), any::<u64>()),
+            2..3,
+        ),
+        snapshot in 0usize..3,
+        drain in 0usize..4,
+        probes in proptest::collection::vec((0u32..4, any::<u32>()), 1..300),
+        policy in 0usize..3,
+        minor: bool,
+        atomic_marks: bool,
+        cached: bool,
+    ) {
+        let snapshot = [Snapshot::Eager, Snapshot::FullLazy, Snapshot::MinorLazy][snapshot];
+        let policy = [Policy::AllInterior, Policy::FirstPage, Policy::BaseOnly][policy];
+        let mode = if atomic_marks { MarkMode::Atomic } else { MarkMode::Single };
+        let (heap, objects) = build_kernel_heap(&rounds, snapshot, drain);
+        let (mut reference, _) = build_kernel_heap(&rounds, snapshot, drain);
+        let lo = heap.lo().expect("heap has blocks").raw();
+        let hi = heap.hi().raw();
+        let block_bases: Vec<(u32, u32, u32)> = heap
+            .blocks()
+            .map(|b| (b.base().raw(), b.slots(), b.obj_bytes()))
+            .collect();
+        let mut cache = if cached { PageResolveCache::new() } else { PageResolveCache::disabled() };
+        // Model of the cache: page-indexed direct-mapped tags, no flush
+        // (the heap does not change while probing).
+        let mut tags = [u32::MAX; 256];
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (kind, r) in probes {
+            let addr = match kind {
+                // Near an allocated object: base, interior, or just past it.
+                0 => {
+                    let base = objects[r as usize % objects.len()];
+                    base + (r >> 8) % 10_000
+                }
+                // Trailing waste, or just past a block's last slot.
+                1 if !block_bases.is_empty() => {
+                    let (base, slots, bytes) = block_bases[r as usize % block_bases.len()];
+                    Addr::new(base + slots * bytes + (r >> 16) % 8)
+                }
+                // Anywhere around the heap, released pages included.
+                1 | 2 => Addr::new(lo - 2 * PAGE_BYTES + r % (hi - lo + 4 * PAGE_BYTES)),
+                // Anywhere at all.
+                _ => Addr::new(r),
+            };
+            let got = heap.mark_candidate(addr, &mut cache, mode, minor, |base| {
+                policy.accepts(addr, base)
+            });
+            let want = reference_mark(&mut reference, addr, policy, minor);
+            prop_assert_eq!(got, want, "candidate {} diverged", addr);
+            if cached {
+                let page = addr.page().raw();
+                let slot = page as usize % tags.len();
+                if tags[slot] == page {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    tags[slot] = page;
+                }
+            }
+        }
+        prop_assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+        prop_assert_eq!(mark_bits(&heap), mark_bits(&reference));
     }
 }

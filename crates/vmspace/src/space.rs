@@ -87,6 +87,7 @@ impl AddressSpace {
     }
 
     /// The byte order used for multi-byte accesses.
+    #[inline]
     pub fn endian(&self) -> Endian {
         self.endian
     }
@@ -202,6 +203,7 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if the segment was never mapped or has been unmapped.
+    #[inline]
     pub fn segment(&self, id: SegmentId) -> &Segment {
         self.slots[id.0 as usize]
             .as_ref()
@@ -209,6 +211,7 @@ impl AddressSpace {
     }
 
     /// Returns the live segment with the given id, or `None` if unmapped.
+    #[inline]
     pub fn try_segment(&self, id: SegmentId) -> Option<&Segment> {
         self.slots.get(id.0 as usize)?.as_ref()
     }
@@ -250,6 +253,7 @@ impl AddressSpace {
     }
 
     /// Finds the segment containing `addr`, if any.
+    #[inline]
     pub fn find(&self, addr: Addr) -> Option<&Segment> {
         let cached = self.cache.load(Ordering::Relaxed);
         if cached != NO_CACHE {
@@ -274,6 +278,7 @@ impl AddressSpace {
     /// the caller's [`SegmentHint`] — the shared one-entry cache is never
     /// read or written, so concurrent scans through distinct hints cannot
     /// evict each other.
+    #[inline]
     pub fn find_hinted(&self, addr: Addr, hint: &mut SegmentHint) -> Option<&Segment> {
         if let Some(id) = hint.0 {
             if let Some(seg) = self.try_segment(id) {
@@ -299,6 +304,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if the whole range is not inside a single mapped segment.
+    #[inline]
     pub fn bytes_at_hinted(
         &self,
         addr: Addr,
@@ -325,6 +331,7 @@ impl AddressSpace {
         self.segments().map(|s| u64::from(s.len())).sum()
     }
 
+    #[inline]
     fn locate(&self, addr: Addr, width: u32) -> Result<(&Segment, usize), VmError> {
         let seg = self.find(addr).ok_or(VmError::Unmapped { addr })?;
         let off = addr - seg.base;
@@ -334,6 +341,7 @@ impl AddressSpace {
         Ok((seg, off as usize))
     }
 
+    #[inline]
     fn locate_mut(&mut self, addr: Addr, width: u32) -> Result<(&mut Segment, usize), VmError> {
         let id = {
             let seg = self.find(addr).ok_or(VmError::Unmapped { addr })?;
@@ -377,6 +385,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if unmapped or if the access crosses the segment end.
+    #[inline]
     pub fn read_u32(&self, addr: Addr) -> Result<u32, VmError> {
         let (seg, off) = self.locate(addr, 4)?;
         Ok(self.endian.read_u32(&seg.data[off..off + 4]))
@@ -410,6 +419,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if unmapped, read-only, or crossing the segment end.
+    #[inline]
     pub fn write_u32(&mut self, addr: Addr, value: u32) -> Result<(), VmError> {
         let bytes = self.endian.u32_bytes(value);
         let (seg, off) = self.locate_mut(addr, 4)?;

@@ -4,7 +4,7 @@
 //! in a declared data word could resurrect a dead young object during a
 //! minor collection (or an incremental card catch-up) that a full
 //! collection would reclaim. All object-field scanning now routes through
-//! one shared kernel (`scan_object_fields`), so typed objects scan only
+//! one shared kernel (`MarkKernel::trace`), so typed objects scan only
 //! their declared pointer offsets on *every* path: the serial drain, the
 //! budgeted incremental drain, the dirty-page scan, and the parallel
 //! workers.
