@@ -7,13 +7,18 @@
 //! pause proportional to the live set, while the incremental cycle's
 //! longest mutator pause is bounded by the root scan, one tracing
 //! increment, or the dirty-rescan finish.
+//!
+//! It doubles as a differential check of the incremental pipeline: the
+//! incremental cycle must mark and free exactly what the stop-world
+//! collection of the same heap does (objects and bytes), or the process
+//! exits nonzero. `valid_pointers` is not compared: the finish rescans the
+//! roots, so each root reference is counted once more.
 
 use gc_analysis::TextTable;
 use gc_bench::{finish_args, json_array, json_object, json_str, JsonOut};
-use gc_core::{CollectReason, Collector, GcConfig};
+use gc_core::{CollectReason, CollectionStats, Collector, GcConfig};
 use gc_heap::{HeapConfig, ObjectKind};
 use gc_vmspace::{Addr, AddressSpace, Endian, SegmentKind, SegmentSpec};
-use std::time::Duration;
 
 fn collector(incremental: bool, budget: u32) -> Collector {
     let mut space = AddressSpace::new(Endian::Big);
@@ -65,21 +70,39 @@ fn main() {
         "Increments".into(),
         "Pause ratio".into(),
     ]);
+    let mut agree = true;
     for cells in [50_000u32, 200_000, 800_000] {
         // Stop the world.
         let mut gc = collector(false, 0);
         build_live_chain(&mut gc, cells);
-        let full = gc.collect().duration;
+        let stop_world = gc.collect();
+        let full = stop_world.duration;
 
         // Incremental, budget 2048 objects per increment.
         let mut gc = collector(true, 2048);
         build_live_chain(&mut gc, cells);
         let mut increments = 0u64;
-        loop {
+        let incremental = loop {
             increments += 1;
-            if gc.collect_increment(CollectReason::Explicit).is_some() {
-                break;
+            if let Some(stats) = gc.collect_increment(CollectReason::Explicit) {
+                break stats;
             }
+        };
+        let counts = |c: &CollectionStats| {
+            (
+                c.objects_marked,
+                c.bytes_marked,
+                c.sweep.objects_freed,
+                c.sweep.bytes_freed,
+            )
+        };
+        if counts(&incremental) != counts(&stop_world) {
+            eprintln!(
+                "{cells} cells: incremental (marked, bytes marked, freed, bytes freed) {:?} != stop-world {:?}",
+                counts(&incremental),
+                counts(&stop_world)
+            );
+            agree = false;
         }
         let max_pause = gc.stats().max_increment_pause;
         let ratio = full.as_secs_f64() / max_pause.as_secs_f64().max(1e-9);
@@ -99,7 +122,6 @@ fn main() {
                 ("incremental_metrics", gc.metrics_json()),
             ]));
         }
-        let _ = Duration::ZERO;
     }
     println!("{table}");
     println!("Stop-the-world pauses grow with the live set; the incremental");
@@ -111,4 +133,7 @@ fn main() {
         ("runs", json_array(&runs)),
     ]);
     json_out.write(&document).expect("write JSON report");
+    if !agree {
+        std::process::exit(1);
+    }
 }

@@ -135,14 +135,22 @@ impl Blacklist {
     }
 
     /// Begins a collection cycle numbered `gc_no`.
+    ///
+    /// The hashed store ages one generation per cycle *number*: a cycle
+    /// that restarts under the same number (a stop-world collection
+    /// abandoning an incremental cycle) keeps both generations, just as
+    /// the exact store, which ages by number, keeps its entries.
     pub fn begin_cycle(&mut self, gc_no: u64) {
+        let advanced = gc_no != self.gc_no;
         self.gc_no = gc_no;
         if let Store::Hashed {
             current, previous, ..
         } = &mut self.store
         {
-            std::mem::swap(current, previous);
-            current.fill(0);
+            if advanced {
+                std::mem::swap(current, previous);
+                current.fill(0);
+            }
         }
     }
 

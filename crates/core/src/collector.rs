@@ -5,14 +5,14 @@ use crate::{
     par_mark,
     telemetry::{self, GcEvent, PhaseTimes},
     Blacklist, CollectKind, CollectReason, CollectRequest, CollectionStats, Finalizers, GcConfig,
-    GcError, GcStats, MarkWorkerStats, ParallelMarkStats, Retainer, RootClass, MAX_MARK_THREADS,
+    GcError, GcStats, ParallelMarkStats, Retainer, RootClass, MAX_MARK_THREADS,
 };
 use gc_heap::{
     Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, PAGE_BYTES};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A conservative mark-sweep garbage collector with page-level blacklisting,
 /// reproducing the collector of Boehm's *Space Efficient Conservative
@@ -81,17 +81,30 @@ pub struct Collector {
     allocs_at_last_collect: (u64, u64),
 }
 
-/// State of an in-progress incremental marking cycle.
+/// A collection cycle between [`Collector::begin`] and
+/// [`Collector::finish`]: what it is, and what its marking has counted so
+/// far.
+#[derive(Debug)]
+struct Cycle {
+    gc_no: u64,
+    kind: CollectKind,
+    reason: CollectReason,
+    /// An incremental cycle records its finish as one more
+    /// [`GcEvent::IncrementalPause`]; a stop-world one as a single pause.
+    incremental: bool,
+    blacklist_before: u32,
+    started: Instant,
+    /// Phase time accumulated so far (across increments, if incremental).
+    phases: PhaseTimes,
+    out: MarkOutcome,
+    parallel_mark: Option<ParallelMarkStats>,
+}
+
+/// An incremental cycle paused between increments.
 #[derive(Debug)]
 struct IncState {
-    gc_no: u64,
-    reason: CollectReason,
-    blacklist_before: u32,
+    cycle: Cycle,
     stack: Vec<ObjRef>,
-    out: MarkOutcome,
-    started: Instant,
-    /// Phase time accumulated across the cycle's increments so far.
-    phases: PhaseTimes,
 }
 
 impl Collector {
@@ -132,7 +145,7 @@ impl Collector {
         if !self.startup_done {
             self.startup_done = true;
             if self.config.initial_collect {
-                self.collect_impl(CollectKind::Full, CollectReason::Startup);
+                self.collect_stop_world(CollectKind::Full, CollectReason::Startup);
             }
         }
     }
@@ -144,6 +157,20 @@ impl Collector {
     /// Returns [`GcError::Heap`] when the heap limit is exhausted even
     /// after a forced collection, or for zero-sized requests.
     pub fn alloc(&mut self, bytes: u32, kind: ObjectKind) -> Result<Addr, GcError> {
+        self.alloc_with(bytes, kind, None)
+    }
+
+    /// The allocation driver behind [`alloc`](Collector::alloc) and
+    /// [`alloc_typed`](Collector::alloc_typed) (`desc` given): the startup
+    /// collection, incremental stepping or automatic collection, the heap
+    /// call, allocate-black, one retry after a full collection when the
+    /// heap is exhausted, and the allocation telemetry.
+    fn alloc_with(
+        &mut self,
+        bytes: u32,
+        kind: ObjectKind,
+        desc: Option<DescriptorId>,
+    ) -> Result<Addr, GcError> {
         // Fast-path discipline: no clock reads and no heap walks. The heap
         // probes below are the O(1) narrow accessors, and `Instant::now()`
         // is stamped lazily at the first slow-path entry, so an allocation
@@ -164,27 +191,24 @@ impl Collector {
             }
         } else if self.should_collect() {
             t0.get_or_insert_with(Instant::now);
-            let kind = self.auto_collect_kind();
-            self.collect_impl(kind, CollectReason::Automatic);
+            self.collect_stop_world(self.auto_collect_kind(), CollectReason::Automatic);
         }
-        let result = match self.try_alloc(bytes, kind) {
-            Ok(addr) => {
-                self.allocate_black(addr);
-                Ok(addr)
-            }
+        let result = match self.try_alloc(bytes, kind, desc) {
+            Ok(addr) => Ok(addr),
             Err(HeapError::OutOfMemory { .. }) => {
                 t0.get_or_insert_with(Instant::now);
                 // Out-of-memory retries always use a full collection. It
                 // realizes and reports any deferred sweep work itself, so
                 // account this attempt's share first.
                 self.note_lazy_sweep();
-                self.collect_impl(CollectKind::Full, CollectReason::OutOfMemory);
-                let addr = self.try_alloc(bytes, kind)?;
-                self.allocate_black(addr);
-                Ok(addr)
+                self.collect_stop_world(CollectKind::Full, CollectReason::OutOfMemory);
+                Ok(self.try_alloc(bytes, kind, desc)?)
             }
             Err(e) => Err(e.into()),
         };
+        if let Ok(addr) = result {
+            self.allocate_black(addr);
+        }
         self.note_lazy_sweep();
         let mapped_after = self.heap.mapped_pages();
         if mapped_after > mapped_before {
@@ -324,44 +348,7 @@ impl Collector {
     /// # }
     /// ```
     pub fn alloc_typed(&mut self, bytes: u32, desc: DescriptorId) -> Result<Addr, GcError> {
-        let work_before = self.stats.collections + self.stats.increments;
-        self.start();
-        if self.should_collect() {
-            let kind = self.auto_collect_kind();
-            self.collect_impl(kind, CollectReason::Automatic);
-        }
-        let result = {
-            let blacklist = &self.blacklist;
-            let config = &self.config;
-            let mut pred =
-                |page: PageIdx, use_: PageUse| page_usable(blacklist, config, page, use_);
-            self.heap
-                .alloc_typed(&mut self.space, bytes, desc, &mut pred)
-        };
-        let result = match result {
-            Ok(addr) => Ok(addr),
-            Err(HeapError::OutOfMemory { .. }) => {
-                self.collect_impl(CollectKind::Full, CollectReason::OutOfMemory);
-                let blacklist = &self.blacklist;
-                let config = &self.config;
-                let mut pred =
-                    |page: PageIdx, use_: PageUse| page_usable(blacklist, config, page, use_);
-                let addr = self
-                    .heap
-                    .alloc_typed(&mut self.space, bytes, desc, &mut pred)?;
-                Ok(addr)
-            }
-            Err(e) => Err(e.into()),
-        };
-        self.note_lazy_sweep();
-        if result.is_ok() {
-            if self.stats.collections + self.stats.increments > work_before {
-                self.stats.slow_path_allocs += 1;
-            } else {
-                self.stats.fast_path_allocs += 1;
-            }
-        }
-        result
+        self.alloc_with(bytes, ObjectKind::Composite, Some(desc))
     }
 
     /// Delivers an event to the configured observer, if any. The closure
@@ -393,11 +380,21 @@ impl Collector {
         telemetry::metrics_json(self)
     }
 
-    fn try_alloc(&mut self, bytes: u32, kind: ObjectKind) -> Result<Addr, HeapError> {
+    fn try_alloc(
+        &mut self,
+        bytes: u32,
+        kind: ObjectKind,
+        desc: Option<DescriptorId>,
+    ) -> Result<Addr, HeapError> {
         let blacklist = &self.blacklist;
         let config = &self.config;
         let mut pred = |page: PageIdx, use_: PageUse| page_usable(blacklist, config, page, use_);
-        self.heap.alloc(&mut self.space, bytes, kind, &mut pred)
+        match desc {
+            None => self.heap.alloc(&mut self.space, bytes, kind, &mut pred),
+            Some(desc) => self
+                .heap
+                .alloc_typed(&mut self.space, bytes, desc, &mut pred),
+        }
     }
 
     fn should_collect(&self) -> bool {
@@ -429,12 +426,12 @@ impl Collector {
         self.startup_done = true;
         match request {
             CollectRequest::Full => {
-                Some(self.collect_impl(CollectKind::Full, CollectReason::Explicit))
+                Some(self.collect_stop_world(CollectKind::Full, CollectReason::Explicit))
             }
             CollectRequest::Minor => {
-                Some(self.collect_impl(CollectKind::Minor, CollectReason::Explicit))
+                Some(self.collect_stop_world(CollectKind::Minor, CollectReason::Explicit))
             }
-            CollectRequest::Increment(reason) => self.increment_impl(reason),
+            CollectRequest::Increment(reason) => self.increment(reason),
         }
     }
 
@@ -487,175 +484,23 @@ impl Collector {
         self.run(CollectRequest::Increment(reason))
     }
 
-    fn increment_impl(&mut self, reason: CollectReason) -> Option<CollectionStats> {
-        if self.inc.is_none() {
-            // A new cycle clears mark bits, and pending blocks' reclamation
-            // decisions live in the previous cycle's marks: realize any
-            // deferred sweep work first, outside the measured pause.
-            self.finish_sweep();
-        }
-        let t0 = Instant::now();
-        let (done, gc_no) = match &mut self.inc {
-            None => {
-                // Cycle start: brief stop-the-world root scan.
-                let gc_no = self.stats.collections + 1;
-                let blacklist_before = self.blacklist.len();
-                self.blacklist.begin_cycle(gc_no);
-                self.heap.clear_marks();
-                self.cards.clear();
-                let mut marker =
-                    Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-                marker.run_roots_only();
-                let stack = marker.take_stack();
-                let out = marker.outcome();
-                self.inc = Some(IncState {
-                    gc_no,
-                    reason,
-                    blacklist_before,
-                    stack,
-                    out,
-                    started: t0,
-                    phases: PhaseTimes {
-                        root_scan: t0.elapsed(),
-                        ..PhaseTimes::default()
-                    },
-                });
-                self.emit(|| GcEvent::CollectionBegin {
-                    gc_no,
-                    kind: CollectKind::Full,
-                    reason,
-                });
-                (false, gc_no)
-            }
-            Some(state) => {
-                let mut marker =
-                    Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-                marker.set_stack(std::mem::take(&mut state.stack));
-                let done = marker.drain_budget(self.config.incremental_budget);
-                state.stack = marker.take_stack();
-                state.out.merge(marker.outcome());
-                state.phases.mark += t0.elapsed();
-                (done, state.gc_no)
-            }
-        };
-        self.stats.increments += 1;
-        let pause = t0.elapsed();
-        self.stats.max_increment_pause = self.stats.max_increment_pause.max(pause);
-        self.stats.pause_times.record_duration(pause);
-        self.emit(|| GcEvent::IncrementalPause {
-            gc_no,
-            duration: pause,
-        });
-        if !done {
-            return None;
-        }
-        Some(self.finish_incremental())
-    }
+    // Every collection is one pipeline: `begin` a cycle, seed the mark
+    // stack from the kind's mark sources, drain it, and `finish`
+    // (finalize, disappearing links, sweep, account). The kinds differ
+    // only in their sources:
+    //
+    // * full: the roots;
+    // * minor: the roots plus the old objects on dirty pages;
+    // * incremental start: the roots, drained later in budgeted steps;
+    // * incremental finish: every object on a dirty page plus the roots.
 
-    /// The stop-the-world finish: rescan roots and dirty pages (covering
-    /// every mutation since the cycle began), then sweep.
-    fn finish_incremental(&mut self) -> CollectionStats {
-        let t0 = Instant::now();
-        let state = self
-            .inc
-            .take()
-            .expect("finish follows an in-progress cycle");
-        let IncState {
-            gc_no,
-            reason,
-            blacklist_before,
-            out: mut acc,
-            started,
-            mut phases,
-            ..
-        } = state;
-        let finalizers_ready;
-        {
-            let mut marker =
-                Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-            // The finish's root and dirty-page rescan plus final drain all
-            // count as marking: they complete the tracing the increments
-            // started.
-            let t_phase = Instant::now();
-            let dirty: Vec<PageIdx> = self.cards.iter().map(|&p| PageIdx::new(p)).collect();
-            marker.scan_pages(dirty, false);
-            marker.run();
-            phases.mark += t_phase.elapsed();
-            let t_phase = Instant::now();
-            let doomed = {
-                let heap = marker.heap();
-                self.finalizers.collect_unreachable(|addr| {
-                    heap.object_containing(addr)
-                        .is_some_and(|o| heap.is_marked(o))
-                })
-            };
-            for &addr in &doomed {
-                marker.mark_object(addr);
-            }
-            phases.finalize = t_phase.elapsed();
-            finalizers_ready = doomed.len() as u32;
-            acc.merge(marker.outcome());
-        }
-        let t_phase = Instant::now();
-        self.clear_dead_links(false);
-        phases.finalize += t_phase.elapsed();
-        let t_phase = Instant::now();
-        let sweep = if self.config.lazy_sweep {
-            self.heap.sweep_lazy()
-        } else {
-            self.heap.sweep()
-        };
-        phases.sweep = t_phase.elapsed();
-        self.cards.clear();
-        self.minors_since_full = 0;
-        self.blacklist.end_cycle();
-        self.heap.note_collection();
-        let pause = t0.elapsed();
-        self.stats.max_increment_pause = self.stats.max_increment_pause.max(pause);
-        self.stats.pause_times.record_duration(pause);
-        self.emit(|| GcEvent::IncrementalPause {
-            gc_no,
-            duration: pause,
-        });
-        let (fast_path_allocs, slow_path_allocs) = self.take_alloc_path_deltas();
-        let c = CollectionStats {
-            gc_no,
-            kind: CollectKind::Full,
-            reason,
-            root_words_scanned: acc.root_words,
-            heap_words_scanned: acc.heap_words,
-            candidates_in_range: acc.candidates_in_range,
-            valid_pointers: acc.valid_pointers,
-            false_refs_near_heap: acc.false_refs_near_heap,
-            newly_blacklisted: self.blacklist.len().saturating_sub(blacklist_before),
-            blacklist_pages: self.blacklist.len(),
-            objects_marked: acc.objects_marked,
-            bytes_marked: acc.bytes_marked,
-            resolve_hits: acc.resolve_hits,
-            resolve_misses: acc.resolve_misses,
-            finalizers_ready,
-            fast_path_allocs,
-            slow_path_allocs,
-            sweep,
-            phases,
-            parallel_mark: None,
-            duration: started.elapsed(),
-        };
-        self.stats.record(c);
-        self.emit_collection_end(&c);
-        c
-    }
-
-    fn collect_impl(&mut self, kind: CollectKind, reason: CollectReason) -> CollectionStats {
-        // A stop-the-world collection abandons any in-progress incremental
-        // cycle (its partial marks are cleared below).
-        self.inc = None;
-        // Pending blocks' reclamation decisions live in the previous
-        // cycle's mark bits: realize any deferred sweep work before
-        // clearing them, outside the measured pause.
+    /// Begins a cycle: numbers and announces it, opens a blacklist
+    /// generation and clears the mark bits. Pending blocks' reclamation
+    /// decisions live in the previous cycle's marks, so deferred sweep work
+    /// is realized first, outside the cycle's measured time.
+    fn begin(&mut self, kind: CollectKind, reason: CollectReason, incremental: bool) -> Cycle {
         self.finish_sweep();
-        let t0 = Instant::now();
-        let minor = kind == CollectKind::Minor;
+        let started = Instant::now();
         let gc_no = self.stats.collections + 1;
         self.emit(|| GcEvent::CollectionBegin {
             gc_no,
@@ -665,115 +510,171 @@ impl Collector {
         let blacklist_before = self.blacklist.len();
         self.blacklist.begin_cycle(gc_no);
         self.heap.clear_marks();
+        Cycle {
+            gc_no,
+            kind,
+            reason,
+            incremental,
+            blacklist_before,
+            started,
+            phases: PhaseTimes::default(),
+            out: MarkOutcome::default(),
+            parallel_mark: None,
+        }
+    }
 
-        let mut phases = PhaseTimes::default();
-        let requested = self.config.mark_threads.clamp(1, MAX_MARK_THREADS);
-        // Never oversubscribe the machine: a stop-world mark is pure CPU,
-        // so workers beyond the available cores only time-slice against
-        // each other and turn every steal into a context switch. On a
-        // single-core host a requested parallel mark therefore runs the
-        // serial drain (no thread spawned, no sharing overhead) and
-        // reports it as one parallel worker, keeping stats and events
-        // shaped the same across machines.
+    /// The dirty cards, as pages to rescan.
+    fn dirty_pages(&self) -> Vec<PageIdx> {
+        self.cards.iter().map(|&p| PageIdx::new(p)).collect()
+    }
+
+    /// Workers for a stop-world drain: `None` for the serial marker, which
+    /// keeps its resolve cache warm from the root scan into the drain.
+    /// Otherwise the configured count, never more than the machine's cores
+    /// unless forced: a stop-world mark is pure CPU, so extra workers only
+    /// time-slice against each other. A parallel mark clamped to one core
+    /// still drains through [`par_mark::par_drain`], which runs it inline
+    /// and reports one worker, so telemetry keeps its shape across hosts.
+    fn mark_workers(&self) -> Option<usize> {
+        let requested = self.config.mark_threads.clamp(1, MAX_MARK_THREADS) as usize;
+        if requested == 1 {
+            return None;
+        }
+        if self.config.mark_threads_force {
+            return Some(requested);
+        }
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let threads = if self.config.mark_threads_force {
-            requested
+        Some(requested.min(cores))
+    }
+
+    /// A stop-the-world full or minor collection. It abandons any
+    /// in-progress incremental cycle, whose partial marks `begin` clears.
+    fn collect_stop_world(&mut self, kind: CollectKind, reason: CollectReason) -> CollectionStats {
+        self.inc = None;
+        let mut cycle = self.begin(kind, reason, false);
+        let minor = kind == CollectKind::Minor;
+        let dirty = if minor {
+            self.dirty_pages()
         } else {
-            requested.min(cores as u32)
+            Vec::new()
         };
-        let mut parallel_mark = None;
-        let mut single_worker = None;
-        let mut acc;
-        {
-            let mut marker =
-                Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-            if minor {
-                marker = marker.minor();
-            }
-            // Root-scan phase: conservative scan of every root segment;
-            // found objects stay on the mark stack. Always serial — roots
-            // carry provenance (which segment class blacklists a page), so
-            // they are scanned before workers fan out.
-            let t_phase = Instant::now();
-            marker.run_roots_only();
-            phases.root_scan = t_phase.elapsed();
-            // Mark phase: transitive tracing, plus the generational
-            // remembered set (old objects on dirty pages).
-            let t_phase = Instant::now();
-            if threads > 1 {
-                // Seed the drain with everything the serial scans found:
-                // root-reachable objects, and in minor mode the old objects
-                // on dirty pages (scanned but not drained).
-                if minor {
-                    let dirty: Vec<PageIdx> = self.cards.iter().map(|&p| PageIdx::new(p)).collect();
-                    marker.scan_dirty_old_seed(dirty);
-                }
-                let seeds = marker.take_stack();
-                let kernel = marker.kernel();
-                acc = marker.outcome();
-                drop(marker);
-                let par = par_mark::par_drain(kernel, seeds, threads as usize);
-                acc.merge(par.out);
-                // Merge the workers' blacklist candidates in page order:
-                // deterministic regardless of how work was scheduled.
-                for &(page, count) in &par.false_pages {
-                    self.blacklist
-                        .note_false_refs(PageIdx::new(page), RootClass::Heap, count);
-                }
-                for (i, w) in par.workers.iter().enumerate() {
-                    self.emit(|| GcEvent::MarkWorker {
-                        gc_no,
-                        worker: i as u32,
-                        objects_marked: w.objects_marked,
-                        bytes_marked: w.bytes_marked,
-                        stolen: w.stolen,
-                        duration: w.duration,
-                    });
-                }
-                parallel_mark = Some(ParallelMarkStats::new(&par.workers));
-            } else {
-                // Serial drain — either marking is configured serial, or a
-                // parallel mark was requested on a single-core machine,
-                // where the cheapest correct "parallel" drain *is* the
-                // serial one. In the latter case the drain is still
-                // reported as one parallel worker so telemetry keeps its
-                // shape across machines.
-                let before = marker.outcome();
-                let t_drain = Instant::now();
-                marker.drain_all();
-                if minor {
-                    let dirty: Vec<PageIdx> = self.cards.iter().map(|&p| PageIdx::new(p)).collect();
-                    marker.scan_dirty_old(dirty);
-                }
-                acc = marker.outcome();
-                if requested > 1 {
-                    single_worker = Some(MarkWorkerStats {
-                        objects_marked: acc.objects_marked - before.objects_marked,
-                        bytes_marked: acc.bytes_marked - before.bytes_marked,
-                        stolen: 0,
-                        duration: t_drain.elapsed(),
-                    });
-                }
-            }
-            phases.mark = t_phase.elapsed();
+        let workers = self.mark_workers();
+        let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+        if minor {
+            marker = marker.minor();
         }
-        if let Some(w) = single_worker {
-            self.emit(|| GcEvent::MarkWorker {
-                gc_no,
-                worker: 0,
-                objects_marked: w.objects_marked,
-                bytes_marked: w.bytes_marked,
-                stolen: w.stolen,
-                duration: w.duration,
-            });
-            parallel_mark = Some(ParallelMarkStats::new(&[w]));
+        // Root scan: always serial, because roots carry provenance (which
+        // segment class blacklists a page).
+        let t_phase = Instant::now();
+        marker.scan_roots();
+        cycle.phases.root_scan = t_phase.elapsed();
+        // Mark: the remembered set joins the seeds, then one drain reaches
+        // the transitive fixed point.
+        let t_phase = Instant::now();
+        marker.scan_pages(dirty, true);
+        if let Some(workers) = workers {
+            let seeds = marker.take_stack();
+            let kernel = marker.kernel();
+            cycle.out = marker.outcome();
+            let par = par_mark::par_drain(kernel, seeds, workers);
+            cycle.out.merge(par.out);
+            // Merge the workers' blacklist candidates in page order:
+            // deterministic regardless of how work was scheduled.
+            for &(page, count) in &par.false_pages {
+                self.blacklist
+                    .note_false_refs(PageIdx::new(page), RootClass::Heap, count);
+            }
+            for (i, w) in par.workers.iter().enumerate() {
+                self.emit(|| GcEvent::MarkWorker {
+                    gc_no: cycle.gc_no,
+                    worker: i as u32,
+                    objects_marked: w.objects_marked,
+                    bytes_marked: w.bytes_marked,
+                    stolen: w.stolen,
+                    duration: w.duration,
+                });
+            }
+            cycle.parallel_mark = Some(ParallelMarkStats::new(&par.workers));
+        } else {
+            marker.drain_all();
+            cycle.out = marker.outcome();
         }
-        // Finalize phase: unreachable registered objects are queued and
+        cycle.phases.mark = t_phase.elapsed();
+        let started = cycle.started;
+        self.finish(cycle, started)
+    }
+
+    /// One incremental step: the start (a new cycle's root scan), one
+    /// budgeted tracing increment, or, once tracing is done, the
+    /// stop-the-world finish. Tracing is always serial.
+    fn increment(&mut self, reason: CollectReason) -> Option<CollectionStats> {
+        let (mut state, t0, done) = match self.inc.take() {
+            None => {
+                let mut cycle = self.begin(CollectKind::Full, reason, true);
+                self.cards.clear();
+                let mut marker =
+                    Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+                marker.scan_roots();
+                cycle.out = marker.outcome();
+                let stack = marker.take_stack();
+                cycle.phases.root_scan = cycle.started.elapsed();
+                let t0 = cycle.started;
+                (IncState { cycle, stack }, t0, false)
+            }
+            Some(mut state) => {
+                let t0 = Instant::now();
+                let mut marker =
+                    Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+                marker.set_stack(std::mem::take(&mut state.stack));
+                let done = marker.drain_budget(self.config.incremental_budget);
+                state.stack = marker.take_stack();
+                state.cycle.out.merge(marker.outcome());
+                state.cycle.phases.mark += t0.elapsed();
+                (state, t0, done)
+            }
+        };
+        self.stats.increments += 1;
+        self.record_increment_pause(state.cycle.gc_no, t0.elapsed());
+        if !done {
+            self.inc = Some(state);
+            return None;
+        }
+        // The finish: rescan dirty pages and roots, covering every mutation
+        // since the cycle began. It all counts as marking: it completes the
+        // tracing the increments started.
+        let t0 = Instant::now();
+        let dirty = self.dirty_pages();
+        let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+        marker.scan_pages(dirty, false);
+        marker.scan_roots();
+        marker.drain_all();
+        state.cycle.out.merge(marker.outcome());
+        state.cycle.phases.mark += t0.elapsed();
+        Some(self.finish(state.cycle, t0))
+    }
+
+    /// Records one incremental mutator pause.
+    fn record_increment_pause(&mut self, gc_no: u64, pause: Duration) {
+        self.stats.max_increment_pause = self.stats.max_increment_pause.max(pause);
+        self.stats.pause_times.record_duration(pause);
+        self.emit(|| GcEvent::IncrementalPause {
+            gc_no,
+            duration: pause,
+        });
+    }
+
+    /// Ends a cycle whose marking is done: finalization, disappearing
+    /// links, the sweep, the per-cycle resets, the statistics record and
+    /// the end events. `pause_start` is when the current mutator pause
+    /// began: the cycle's start for a stop-world collection, the finish
+    /// step's start for an incremental one.
+    fn finish(&mut self, mut c: Cycle, pause_start: Instant) -> CollectionStats {
+        let minor = c.kind == CollectKind::Minor;
+        // Finalize: unreachable registered objects are queued and
         // resurrected for one more cycle. A minor collection treats the
-        // whole old generation as live. Resurrection marking is serial (a
-        // fresh marker; its counters merge into the cycle's totals).
+        // whole old generation as live. Resurrection marking is serial.
+        let t_phase = Instant::now();
         let finalizers_ready = {
-            let t_phase = Instant::now();
             let mut marker =
                 Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
             if minor {
@@ -789,15 +690,11 @@ impl Collector {
             for &addr in &doomed {
                 marker.mark_object(addr);
             }
-            acc.merge(marker.outcome());
-            phases.finalize = t_phase.elapsed();
+            c.out.merge(marker.outcome());
             doomed.len() as u32
         };
-        let out = acc;
-
-        let t_phase = Instant::now();
         self.clear_dead_links(minor);
-        phases.finalize += t_phase.elapsed();
+        c.phases.finalize = t_phase.elapsed();
         let t_phase = Instant::now();
         let sweep = match (self.config.lazy_sweep, minor) {
             (true, true) => self.heap.sweep_young_lazy(),
@@ -805,27 +702,29 @@ impl Collector {
             (false, true) => self.heap.sweep_young(),
             (false, false) => self.heap.sweep(),
         };
-        phases.sweep = t_phase.elapsed();
+        c.phases.sweep = t_phase.elapsed();
         self.cards.clear();
-        if minor {
-            self.minors_since_full += 1;
-        } else {
-            self.minors_since_full = 0;
-        }
+        self.minors_since_full = if minor { self.minors_since_full + 1 } else { 0 };
         self.blacklist.end_cycle();
         self.heap.note_collection();
-
+        let now = Instant::now();
+        if c.incremental {
+            self.record_increment_pause(c.gc_no, now - pause_start);
+        } else {
+            self.stats.pause_times.record_duration(now - pause_start);
+        }
         let (fast_path_allocs, slow_path_allocs) = self.take_alloc_path_deltas();
-        let c = CollectionStats {
-            gc_no,
-            kind,
-            reason,
+        let out = c.out;
+        let stats = CollectionStats {
+            gc_no: c.gc_no,
+            kind: c.kind,
+            reason: c.reason,
             root_words_scanned: out.root_words,
             heap_words_scanned: out.heap_words,
             candidates_in_range: out.candidates_in_range,
             valid_pointers: out.valid_pointers,
             false_refs_near_heap: out.false_refs_near_heap,
-            newly_blacklisted: self.blacklist.len().saturating_sub(blacklist_before),
+            newly_blacklisted: self.blacklist.len().saturating_sub(c.blacklist_before),
             blacklist_pages: self.blacklist.len(),
             objects_marked: out.objects_marked,
             bytes_marked: out.bytes_marked,
@@ -835,14 +734,13 @@ impl Collector {
             fast_path_allocs,
             slow_path_allocs,
             sweep,
-            phases,
-            parallel_mark,
-            duration: t0.elapsed(),
+            phases: c.phases,
+            parallel_mark: c.parallel_mark,
+            duration: now - c.started,
         };
-        self.stats.record(c);
-        self.stats.pause_times.record_duration(c.duration);
-        self.emit_collection_end(&c);
-        c
+        self.stats.record(stats);
+        self.emit_collection_end(&stats);
+        stats
     }
 
     /// Emits the events a finished collection produces: blacklist growth,

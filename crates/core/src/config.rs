@@ -159,8 +159,13 @@ pub struct GcConfig {
     /// collector the paper cites as \[8\] (Boehm–Demers–Shenker): a brief
     /// root scan starts the cycle, tracing proceeds in bounded increments
     /// interleaved with the mutator, and a short stop-the-world finish
-    /// rescans roots and dirty pages. Requires the mutator to report heap
-    /// writes via [`Collector::record_write`](crate::Collector::record_write).
+    /// rescans roots and dirty pages. Both
+    /// [`alloc`](crate::Collector::alloc) and
+    /// [`alloc_typed`](crate::Collector::alloc_typed) step an in-progress
+    /// cycle (or start one at the usual threshold) instead of collecting
+    /// stop-the-world, and objects they allocate mid-cycle are allocated
+    /// black. Requires the mutator to report heap writes via
+    /// [`Collector::record_write`](crate::Collector::record_write).
     /// Mutually exclusive with [`generational`](GcConfig::generational).
     pub incremental: bool,
     /// Objects traced per increment in incremental mode.

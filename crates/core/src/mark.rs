@@ -370,39 +370,14 @@ impl<'a> Marker<'a> {
         self.k
     }
 
-    /// Scans the fields of every old composite object on the given dirty
-    /// pages — the generational remembered set.
-    pub(crate) fn scan_dirty_old(&mut self, pages: impl IntoIterator<Item = PageIdx>) {
-        self.scan_pages_impl(pages, true, true)
-    }
-
-    /// As [`scan_dirty_old`](Marker::scan_dirty_old), but leaves the found
-    /// objects on the mark stack instead of draining: the seeding step
-    /// before a parallel drain takes over. The drained and seeded forms
-    /// reach the same fixed point — dirty-old pages are enumerated
-    /// identically and every counter totals per *object scan*, of which
-    /// each happens exactly once either way.
-    pub(crate) fn scan_dirty_old_seed(&mut self, pages: impl IntoIterator<Item = PageIdx>) {
-        self.scan_pages_impl(pages, true, false)
-    }
-
-    /// Scans the fields of composite objects on the given pages; with
-    /// `only_old`, restricted to the old generation (minor collections),
-    /// otherwise every live composite object (the incremental finish
-    /// phase's dirty rescan).
+    /// Scans the fields of composite objects on the given pages, leaving
+    /// what they reference on the mark stack for the drain: with
+    /// `only_old`, the old objects only (a minor collection's remembered
+    /// set), otherwise every live composite object (the incremental
+    /// finish's dirty rescan).
     pub(crate) fn scan_pages(&mut self, pages: impl IntoIterator<Item = PageIdx>, only_old: bool) {
-        self.scan_pages_impl(pages, only_old, true)
-    }
-
-    fn scan_pages_impl(
-        &mut self,
-        pages: impl IntoIterator<Item = PageIdx>,
-        only_old: bool,
-        drain: bool,
-    ) {
-        let (k, heap) = (self.k, self.k.heap);
+        let (k, heap, st) = (self.k, self.k.heap, &mut self.st);
         for page in pages {
-            let st = &mut self.st;
             for obj in heap.objects_on_page(page) {
                 if obj.kind != ObjectKind::Composite || (only_old && !heap.is_old(obj)) {
                     continue;
@@ -416,24 +391,12 @@ impl<'a> Marker<'a> {
                     &mut *self.blacklist,
                 );
             }
-            if drain {
-                self.drain_all();
-            }
         }
     }
 
-    /// Scans every root segment and transitively marks the reachable heap.
-    pub(crate) fn run(&mut self) {
-        for seg in self.k.space.roots() {
-            self.scan_root_segment(seg);
-            self.drain_all();
-        }
-    }
-
-    /// Scans every root segment without draining: the found objects stay
-    /// on the mark stack for budgeted tracing (incremental mode), or for a
-    /// separately timed [`drain_all`](Marker::drain_all) (phase telemetry).
-    pub(crate) fn run_roots_only(&mut self) {
+    /// Scans every root segment, leaving the objects found on the mark
+    /// stack for the drain.
+    pub(crate) fn scan_roots(&mut self) {
         for seg in self.k.space.roots() {
             self.scan_root_segment(seg);
         }
