@@ -1,8 +1,8 @@
 //! The mark layer of the bench ladder, behind `BENCH_mark.json`.
 //!
-//! Times full collections of fixed, fully live heaps, so the figure is
-//! the mark phase's throughput (root scan plus transitive drain; the sweep
-//! of an all-live heap is excluded). Four shapes:
+//! Times collections of fixed, fully live heaps, so the figure is the mark
+//! phase's throughput (root scan plus transitive drain; the sweep of an
+//! all-live heap is excluded). Four shapes are timed by full collections:
 //!
 //! * `pointer_dense_chain` — one list of 100,000 16-byte composite cells:
 //!   every word scanned, a pointer chased per cell;
@@ -15,6 +15,17 @@
 //! * `gcbench_tree` — the GCBench shape: a depth-16 binary tree of
 //!   16-byte nodes (`[left, right, i, j]`) built top-down.
 //!
+//! One shape is timed by minor collections, the remembered-set scan:
+//!
+//! * `minor_dirty_scan` — the cache_churn shape: an old 64 KB composite
+//!   table of 16,384 typed records (`[payload, previous payload, key,
+//!   tag]`, the first two words pointers), each pointing at a 512-byte
+//!   atomic payload (2,048 payload pages). Before each minor collection
+//!   every page is re-dirtied, untimed. Nothing is young, so the
+//!   collection marks nothing: its `objects` and `bytes` count the old
+//!   objects the dirty-block scan visits (the table and the records), not
+//!   objects marked.
+//!
 //! Runs standalone (`cargo bench -p gc-bench --bench mark_throughput`).
 //! `--json <path>` also writes the machine-readable report, in the schema
 //! of `BENCH_alloc.json` plus the host's core count; the committed
@@ -23,8 +34,8 @@
 
 use criterion::{Criterion, Throughput};
 use gc_bench::{json_array, json_object, json_str, JsonOut};
-use gc_core::{Collector, GcConfig};
-use gc_heap::{HeapConfig, ObjectKind};
+use gc_core::{CollectionStats, Collector, GcConfig};
+use gc_heap::{Descriptor, HeapConfig, ObjectKind};
 use gc_vmspace::{Addr, AddressSpace, Endian, SegmentKind, SegmentSpec};
 use std::cell::Cell;
 use std::time::Duration;
@@ -35,7 +46,7 @@ const STATICS: Addr = Addr::new(0x1_0000);
 /// A serial, eagerly sweeping collector with the resolve cache on, that
 /// never collects on its own, over one page of static roots. Every knob
 /// the environment could set is pinned.
-fn collector() -> Collector {
+fn collector(generational: bool) -> Collector {
     let mut space = AddressSpace::new(Endian::Big);
     space
         .map(SegmentSpec::new(
@@ -56,6 +67,7 @@ fn collector() -> Collector {
             mark_threads: 1,
             resolve_cache: true,
             lazy_sweep: false,
+            generational,
             ..GcConfig::default()
         },
     )
@@ -64,7 +76,7 @@ fn collector() -> Collector {
 /// One list of `cells` 16-byte composite cells, each pointing at the
 /// previous one; the head sits in a static slot.
 fn chain(cells: u32) -> Collector {
-    let mut gc = collector();
+    let mut gc = collector(false);
     let mut head = 0u32;
     for _ in 0..cells {
         let cell = gc.alloc(16, ObjectKind::Composite).expect("heap has room");
@@ -78,7 +90,7 @@ fn chain(cells: u32) -> Collector {
 /// `n` 16-byte atomic objects, each pointed at from one composite array
 /// whose base sits in a static slot.
 fn atomic_fan(n: u32) -> Collector {
-    let mut gc = collector();
+    let mut gc = collector(false);
     let array = gc
         .alloc(4 * n, ObjectKind::Composite)
         .expect("heap has room");
@@ -97,7 +109,7 @@ fn atomic_fan(n: u32) -> Collector {
 /// `lists` cyclic lists of `cells` 4-byte cells; static slot `i` holds
 /// list `i`'s head.
 fn cyclic_lists(lists: u32, cells: u32) -> Collector {
-    let mut gc = collector();
+    let mut gc = collector(false);
     for i in 0..lists {
         let first = gc.alloc(4, ObjectKind::Composite).expect("heap has room");
         let mut prev = first;
@@ -118,7 +130,7 @@ fn cyclic_lists(lists: u32, cells: u32) -> Collector {
 /// levels below the root, allocated parent before children; the root sits
 /// in a static slot.
 fn tree(depth: u32) -> Collector {
-    let mut gc = collector();
+    let mut gc = collector(false);
     let root = gc.alloc(16, ObjectKind::Composite).expect("heap has room");
     gc.space_mut()
         .write_u32(STATICS, root.raw())
@@ -139,30 +151,98 @@ fn tree(depth: u32) -> Collector {
     gc
 }
 
+/// The `minor_dirty_scan` heap, tenured: the table in a static slot, its
+/// records and their payloads. Returns the collector, one address on each
+/// page to re-dirty, and the (objects, bytes) the dirty-block scan visits.
+fn dirty_old_table() -> (Collector, Vec<Addr>, (u64, u64)) {
+    const RECORDS: u32 = 16_384;
+    const RECORD_BYTES: u32 = 16;
+    let mut gc = collector(true);
+    let desc = gc.register_descriptor(Descriptor::with_pointers_at(4, &[0, 1]));
+    let table_bytes = 4 * RECORDS;
+    let table = gc
+        .alloc(table_bytes, ObjectKind::Composite)
+        .expect("heap has room");
+    gc.space_mut()
+        .write_u32(STATICS, table.raw())
+        .expect("mapped");
+    let mut pages = Vec::new();
+    for i in 0..RECORDS {
+        let record = gc.alloc_typed(RECORD_BYTES, desc).expect("heap has room");
+        let payload = gc.alloc(512, ObjectKind::Atomic).expect("heap has room");
+        gc.space_mut()
+            .write_u32(table + 4 * i, record.raw())
+            .expect("mapped");
+        gc.space_mut()
+            .write_u32(record, payload.raw())
+            .expect("mapped");
+        pages.extend([table + 4 * i, record, payload]);
+    }
+    pages.sort_unstable();
+    pages.dedup_by_key(|a| a.page());
+    gc.collect_minor();
+    let scanned = (
+        1 + u64::from(RECORDS),
+        u64::from(table_bytes) + u64::from(RECORDS * RECORD_BYTES),
+    );
+    (gc, pages, scanned)
+}
+
+/// How a case collects: a full collection, or a minor one after the
+/// listed pages are re-dirtied through the write barrier (untimed: the
+/// figure is the collection's own root-scan-plus-mark time).
+enum Run {
+    Full,
+    Minor { dirty: Vec<Addr> },
+}
+
+impl Run {
+    fn collect(&self, gc: &mut Collector) -> CollectionStats {
+        match self {
+            Run::Full => gc.collect(),
+            Run::Minor { dirty } => {
+                for &addr in dirty {
+                    gc.record_write(addr);
+                }
+                gc.collect_minor()
+            }
+        }
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
 
-    let cases: [(&str, Collector); 4] = [
-        ("pointer_dense_chain", chain(100_000)),
-        ("atomic_objects", atomic_fan(100_000)),
-        ("program_t_lists", cyclic_lists(200, 5_000)),
-        ("gcbench_tree", tree(16)),
+    let (dirty_table, dirty, scanned) = dirty_old_table();
+    let cases: [(&str, Collector, Run); 5] = [
+        ("pointer_dense_chain", chain(100_000), Run::Full),
+        ("atomic_objects", atomic_fan(100_000), Run::Full),
+        ("program_t_lists", cyclic_lists(200, 5_000), Run::Full),
+        ("gcbench_tree", tree(16), Run::Full),
+        ("minor_dirty_scan", dirty_table, Run::Minor { dirty }),
     ];
     let mut criterion = Criterion::default();
     let mut group = criterion.benchmark_group("mark_phase");
     group.sample_size(SAMPLES);
     let mut rows = Vec::new();
-    for (name, mut gc) in cases {
+    for (name, mut gc, run) in cases {
         // Untimed warm-up: settles the heap and sizes the mark stack.
-        let warm = gc.collect();
-        let (objects, bytes) = (warm.objects_marked, warm.bytes_marked);
+        let warm = run.collect(&mut gc);
+        let (objects, bytes) = match run {
+            Run::Full => (warm.objects_marked, warm.bytes_marked),
+            Run::Minor { .. } => scanned,
+        };
         group.throughput(Throughput::Elements(objects));
         let best = Cell::new(Duration::MAX);
         group.bench_function(name, |b| {
             b.iter(|| {
-                let stats = gc.collect();
-                assert_eq!(stats.objects_marked, objects, "{name}: live set moved");
+                let stats = run.collect(&mut gc);
+                assert_eq!(
+                    (stats.objects_marked, stats.heap_words_scanned),
+                    (warm.objects_marked, warm.heap_words_scanned),
+                    "{name}: live set or scan moved"
+                );
                 let mark = stats.phases.root_scan + stats.phases.mark;
                 best.set(best.get().min(mark));
                 stats

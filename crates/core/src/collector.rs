@@ -8,10 +8,10 @@ use crate::{
     GcError, GcStats, ParallelMarkStats, Retainer, RootClass, MAX_MARK_THREADS,
 };
 use gc_heap::{
-    Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
+    Bitmap, Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, PAGE_BYTES};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// A conservative mark-sweep garbage collector with page-level blacklisting,
@@ -60,9 +60,10 @@ pub struct Collector {
     finalizers: Finalizers,
     stats: GcStats,
     startup_done: bool,
-    /// Dirty pages (card table, page granularity), used by generational
-    /// minor collections and by incremental marking's finish phase.
-    cards: HashSet<u32>,
+    /// The card table: one dirty bit per page, indexed by page number and
+    /// grown on demand. Used by generational minor collections and by
+    /// incremental marking's finish phase, which read it in page order.
+    cards: Bitmap,
     minors_since_full: u32,
     /// In-progress incremental marking cycle.
     inc: Option<IncState>,
@@ -124,7 +125,7 @@ impl Collector {
             finalizers: Finalizers::default(),
             stats: GcStats::default(),
             startup_done: false,
-            cards: HashSet::new(),
+            cards: Bitmap::new(0),
             minors_since_full: 0,
             inc: None,
             weak_links: HashMap::new(),
@@ -302,13 +303,15 @@ impl Collector {
     /// collection may miss an old→young pointer.
     pub fn record_write(&mut self, addr: Addr) {
         if (self.config.generational || self.inc.is_some()) && self.heap.in_heap_range(addr) {
-            self.cards.insert(addr.page().raw());
+            let page = addr.page().raw();
+            self.cards.grow(page + 1);
+            self.cards.set(page);
         }
     }
 
-    /// Number of dirty cards currently recorded.
+    /// Number of dirty cards (pages) currently recorded.
     pub fn dirty_cards(&self) -> usize {
-        self.cards.len()
+        self.cards.count_ones() as usize
     }
 
     /// Registers an object-layout descriptor for typed allocation — the
@@ -523,11 +526,6 @@ impl Collector {
         }
     }
 
-    /// The dirty cards, as pages to rescan.
-    fn dirty_pages(&self) -> Vec<PageIdx> {
-        self.cards.iter().map(|&p| PageIdx::new(p)).collect()
-    }
-
     /// Workers for a stop-world drain: `None` for the serial marker, which
     /// keeps its resolve cache warm from the root scan into the drain.
     /// Otherwise the configured count, never more than the machine's cores
@@ -553,11 +551,6 @@ impl Collector {
         self.inc = None;
         let mut cycle = self.begin(kind, reason, false);
         let minor = kind == CollectKind::Minor;
-        let dirty = if minor {
-            self.dirty_pages()
-        } else {
-            Vec::new()
-        };
         let workers = self.mark_workers();
         let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
         if minor {
@@ -571,7 +564,9 @@ impl Collector {
         // Mark: the remembered set joins the seeds, then one drain reaches
         // the transitive fixed point.
         let t_phase = Instant::now();
-        marker.scan_pages(dirty, true);
+        if minor {
+            marker.scan_pages(self.cards.iter_ones().map(PageIdx::new), true);
+        }
         if let Some(workers) = workers {
             let seeds = marker.take_stack();
             let kernel = marker.kernel();
@@ -611,7 +606,7 @@ impl Collector {
         let (mut state, t0, done) = match self.inc.take() {
             None => {
                 let mut cycle = self.begin(CollectKind::Full, reason, true);
-                self.cards.clear();
+                self.cards.clear_all();
                 let mut marker =
                     Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
                 marker.scan_roots();
@@ -643,9 +638,8 @@ impl Collector {
         // since the cycle began. It all counts as marking: it completes the
         // tracing the increments started.
         let t0 = Instant::now();
-        let dirty = self.dirty_pages();
         let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-        marker.scan_pages(dirty, false);
+        marker.scan_pages(self.cards.iter_ones().map(PageIdx::new), false);
         marker.scan_roots();
         marker.drain_all();
         state.cycle.out.merge(marker.outcome());
@@ -703,7 +697,7 @@ impl Collector {
             (false, false) => self.heap.sweep(),
         };
         c.phases.sweep = t_phase.elapsed();
-        self.cards.clear();
+        self.cards.clear_all();
         self.minors_since_full = if minor { self.minors_since_full + 1 } else { 0 };
         self.blacklist.end_cycle();
         self.heap.note_collection();
@@ -1858,15 +1852,18 @@ mod incremental_tests {
     fn mutation_during_marking_is_caught_by_cards() {
         let mut gc = inc_collector(32);
         let cells = build_chain(&mut gc, 1200);
+        // Allocated before the cycle, so not allocated black: only the
+        // finish's dirty-page rescan can find it.
+        let hidden = gc.alloc(8, ObjectKind::Composite).unwrap();
         // Start the cycle (root scan) and run a few increments.
         assert!(gc.collect_increment(CollectReason::Explicit).is_none());
         for _ in 0..3 {
             assert!(gc.collect_increment(CollectReason::Explicit).is_none());
         }
-        // Mutator hides a young object behind an already-scanned cell: the
-        // write barrier dirties the page, the finish phase rescans it.
-        let hidden = gc.alloc(8, ObjectKind::Composite).unwrap();
-        let target = cells[0]; // deepest cell, likely scanned already
+        // Mutator hides an unreached object behind an already-scanned
+        // cell: the write barrier dirties the page, the finish phase
+        // rescans it.
+        let target = *cells.last().unwrap(); // the head, scanned first
         gc.space_mut().write_u32(target + 4, hidden.raw()).unwrap();
         gc.record_write(target + 4);
         run_cycle(&mut gc);

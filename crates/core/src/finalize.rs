@@ -39,14 +39,16 @@ impl Finalizers {
 
     /// Partitions registrations by the `is_marked` predicate: unmarked ones
     /// are moved to the ready queue and returned (for resurrection by the
-    /// caller).
+    /// caller), both in address order, so the resurrection drain and what
+    /// the client drains repeat from run to run.
     pub fn collect_unreachable(&mut self, mut is_marked: impl FnMut(Addr) -> bool) -> Vec<Addr> {
-        let doomed: Vec<Addr> = self
+        let mut doomed: Vec<Addr> = self
             .registered
             .keys()
             .copied()
             .filter(|&a| !is_marked(a))
             .collect();
+        doomed.sort_unstable();
         let mut newly = Vec::with_capacity(doomed.len());
         for addr in doomed {
             let token = self
@@ -86,9 +88,12 @@ mod tests {
         assert_eq!(resurrected.len(), 2);
         assert_eq!(f.registered_count(), 1);
         assert_eq!(f.ready_count(), 2);
-        let mut drained = f.drain_ready();
-        drained.sort_unstable();
-        assert_eq!(drained, vec![(Addr::new(0x100), 1), (Addr::new(0x300), 3)]);
+        assert_eq!(resurrected, vec![Addr::new(0x100), Addr::new(0x300)]);
+        assert_eq!(
+            f.drain_ready(),
+            vec![(Addr::new(0x100), 1), (Addr::new(0x300), 3)],
+            "queued in address order"
+        );
         assert_eq!(f.ready_count(), 0);
     }
 

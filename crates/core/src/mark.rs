@@ -370,16 +370,28 @@ impl<'a> Marker<'a> {
         self.k
     }
 
-    /// Scans the fields of composite objects on the given pages, leaving
-    /// what they reference on the mark stack for the drain: with
-    /// `only_old`, the old objects only (a minor collection's remembered
-    /// set), otherwise every live composite object (the incremental
-    /// finish's dirty rescan).
+    /// Scans the fields of the composite objects in the blocks that own
+    /// the given pages, leaving what they reference on the mark stack for
+    /// the drain: with `only_old`, the old objects only (a minor
+    /// collection's remembered set), otherwise every live object (the
+    /// incremental finish's dirty rescan).
+    ///
+    /// Each block is scanned once, whole, however many of its pages are
+    /// dirty: pages in ascending order put a large object's pages next to
+    /// each other. A pointer-free block is skipped with one check.
     pub(crate) fn scan_pages(&mut self, pages: impl IntoIterator<Item = PageIdx>, only_old: bool) {
         let (k, heap, st) = (self.k, self.k.heap, &mut self.st);
+        let mut last = None;
         for page in pages {
-            for obj in heap.objects_on_page(page) {
-                if obj.kind != ObjectKind::Composite || (only_old && !heap.is_old(obj)) {
+            let Some(block) = heap.block_on_page(page) else {
+                continue;
+            };
+            if block.kind() == ObjectKind::Atomic || last == Some(block.id()) {
+                continue;
+            }
+            last = Some(block.id());
+            for obj in heap.block_live_objects(block) {
+                if only_old && !heap.is_old(obj) {
                     continue;
                 }
                 k.trace(

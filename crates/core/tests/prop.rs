@@ -286,6 +286,102 @@ fn live_set(gc: &Collector) -> Vec<u32> {
     v
 }
 
+/// A generational scenario whose remembered set spans multi-page objects:
+/// the base graph plus rooted large composite objects, all tenured by a
+/// minor collection; then young objects, linked among themselves and
+/// reachable only through stores into the tenured large objects (at any
+/// word, on any page) that pass through the write barrier.
+#[derive(Debug, Clone)]
+struct TenuredStoresSpec {
+    base: GraphSpec,
+    /// Pages of each large composite object.
+    large_pages: Vec<u32>,
+    young: usize,
+    young_edges: Vec<(usize, usize, u8)>,
+    /// (large object, word within it, young target).
+    stores: Vec<(usize, u32, usize)>,
+}
+
+fn arb_tenured_stores() -> impl Strategy<Value = TenuredStoresSpec> {
+    (
+        arb_graph(),
+        proptest::collection::vec(2u32..=4, 1..4),
+        1usize..24,
+    )
+        .prop_flat_map(|(base, large_pages, young)| {
+            let nlarge = large_pages.len();
+            (
+                Just((base, large_pages)),
+                proptest::collection::vec((0..young, 0..young, 0u8..2), 0..young * 2),
+                proptest::collection::vec((0..nlarge, 0u32..4096, 0..young), 0..16),
+            )
+                .prop_map(move |((base, large_pages), young_edges, stores)| {
+                    TenuredStoresSpec {
+                        base,
+                        large_pages,
+                        young,
+                        young_edges,
+                        stores,
+                    }
+                })
+        })
+}
+
+/// Runs `spec` on a generational collector: build, tenure, store, then one
+/// minor collection. Returns the collector and the addresses that are
+/// exactly reachable afterwards, sorted.
+fn run_tenured_stores(spec: &TenuredStoresSpec) -> (Collector, Vec<u32>) {
+    let mut gc = collector_with(|c| c.generational = true);
+    let small = build(&mut gc, &spec.base);
+    let large: Vec<Addr> = spec
+        .large_pages
+        .iter()
+        .enumerate()
+        .map(|(i, &pages)| {
+            let obj = gc.alloc(pages * PAGE_BYTES, ObjectKind::Composite).unwrap();
+            let slot = Addr::new(DATA_BASE) + (16 + i as u32) * 4;
+            gc.space_mut().write_u32(slot, obj.raw()).unwrap();
+            obj
+        })
+        .collect();
+    gc.collect_minor();
+
+    let young: Vec<Addr> = (0..spec.young)
+        .map(|_| gc.alloc(8, ObjectKind::Composite).unwrap())
+        .collect();
+    let mut young_fields = std::collections::HashMap::new();
+    for &(f, t, field) in &spec.young_edges {
+        gc.space_mut()
+            .write_u32(young[f] + u32::from(field) * 4, young[t].raw())
+            .unwrap();
+        young_fields.insert((f, field), t);
+    }
+    let mut stored = std::collections::HashMap::new();
+    for &(l, word, t) in &spec.stores {
+        let slot = large[l] + (word % (spec.large_pages[l] * PAGE_BYTES / 4)) * 4;
+        gc.space_mut().write_u32(slot, young[t].raw()).unwrap();
+        gc.record_write(slot);
+        stored.insert(slot, t);
+    }
+    gc.collect_minor();
+
+    let mut expect: Vec<u32> = reachable(&spec.base)
+        .into_iter()
+        .map(|i| small[i].raw())
+        .chain(large.iter().map(|a| a.raw()))
+        .collect();
+    let mut seen = HashSet::new();
+    let mut stack: Vec<usize> = stored.into_values().collect();
+    while let Some(i) = stack.pop() {
+        if seen.insert(i) {
+            expect.push(young[i].raw());
+            stack.extend((0..2u8).filter_map(|field| young_fields.get(&(i, field)).copied()));
+        }
+    }
+    expect.sort_unstable();
+    (gc, expect)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -332,6 +428,24 @@ proptest! {
         gen.collect_minor();
         // The minor collection may only over-approximate (old objects are
         // assumed live), never under-approximate.
+        let after_minor = live_set(&gen);
+        for b in &expect {
+            prop_assert!(after_minor.binary_search(b).is_ok(),
+                "minor collection lost reachable object {b:#x}");
+        }
+        gen.collect();
+        prop_assert_eq!(live_set(&gen), expect);
+    }
+
+    /// Pointers stored after tenuring into multi-page old objects, on any
+    /// of their pages, keep their young targets alive through a minor
+    /// collection, and a following full collection leaves exactly the
+    /// reachable set.
+    #[test]
+    fn generational_fixpoint_with_stores_into_tenured_large_objects(
+        spec in arb_tenured_stores()
+    ) {
+        let (mut gen, expect) = run_tenured_stores(&spec);
         let after_minor = live_set(&gen);
         for b in &expect {
             prop_assert!(after_minor.binary_search(b).is_ok(),

@@ -82,6 +82,15 @@ impl Bitmap {
         self.words.fill(0);
     }
 
+    /// Lengthens the map to `nbits` bits; the new bits are zero. A shorter
+    /// `nbits` leaves the map as it is.
+    pub fn grow(&mut self, nbits: u32) {
+        if nbits > self.nbits {
+            self.words.resize(nbits.div_ceil(64) as usize, 0);
+            self.nbits = nbits;
+        }
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
@@ -375,6 +384,18 @@ mod tests {
         b.clear(64);
         assert!(!b.get(64));
         assert_eq!(b.count_ones(), 4);
+    }
+
+    #[test]
+    fn grow_keeps_bits_and_zeroes_the_new_ones() {
+        let mut b = Bitmap::new(3);
+        b.set(2);
+        b.grow(200);
+        assert_eq!(b.len(), 200);
+        b.set(199);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![2, 199]);
+        b.grow(10);
+        assert_eq!(b.len(), 200, "a shorter length is ignored");
     }
 
     #[test]

@@ -1454,29 +1454,27 @@ impl Heap {
         self.lazy_totals
     }
 
-    /// The live objects whose block owns `page` (the card-scanning helper
-    /// for generational mode: a dirty page's old composite objects must be
-    /// rescanned at a minor collection).
-    /// Allocation-free: yields objects straight off the block's bitmaps,
-    /// so per-page scans (dirty-card rescans run one per dirty page, every
-    /// minor collection) build no intermediate `Vec`.
-    pub fn objects_on_page(&self, page: PageIdx) -> impl Iterator<Item = ObjRef> + '_ {
-        self.page_map
-            .get(page)
-            .and_then(|id| self.block(id))
-            .into_iter()
-            .flat_map(move |block| {
-                block
-                    .allocated
-                    .iter_ones()
-                    .filter(|&slot| self.slot_live(block, slot))
-                    .map(|slot| ObjRef {
-                        block: block.id(),
-                        index: slot,
-                        base: block.slot_base(slot),
-                        bytes: block.obj_bytes(),
-                        kind: block.kind(),
-                    })
+    /// The live block that owns `page`, if any (the card-scanning helper
+    /// for generational and incremental mode: a dirty page's block is
+    /// rescanned, see [`block_live_objects`](Self::block_live_objects)).
+    pub fn block_on_page(&self, page: PageIdx) -> Option<&Block> {
+        self.block(self.page_map.get(page)?)
+    }
+
+    /// The live objects of `block`, in slot order. Allocation-free: yields
+    /// objects straight off the block's bitmaps, so the dirty-block scans
+    /// of every minor collection build no intermediate `Vec`.
+    pub fn block_live_objects<'h>(&'h self, block: &'h Block) -> impl Iterator<Item = ObjRef> + 'h {
+        block
+            .allocated
+            .iter_ones()
+            .filter(move |&slot| self.slot_live(block, slot))
+            .map(move |slot| ObjRef {
+                block: block.id(),
+                index: slot,
+                base: block.slot_base(slot),
+                bytes: block.obj_bytes(),
+                kind: block.kind(),
             })
     }
 
@@ -1591,18 +1589,7 @@ impl Heap {
 
     /// Iterates over all live objects.
     pub fn live_objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
-        self.blocks().flat_map(move |b| {
-            b.allocated
-                .iter_ones()
-                .filter(move |&slot| self.slot_live(b, slot))
-                .map(move |slot| ObjRef {
-                    block: b.id(),
-                    index: slot,
-                    base: b.slot_base(slot),
-                    bytes: b.obj_bytes(),
-                    kind: b.kind(),
-                })
-        })
+        self.blocks().flat_map(move |b| self.block_live_objects(b))
     }
 
     /// Live objects in one block, honouring any pending lazy-sweep
